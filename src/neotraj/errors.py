@@ -29,10 +29,6 @@ class WorldMissingDistanceField(NeotrajError):
     """Obstacle cost requested on a world without a distance field."""
 
 
-class LineSearchFailure(NeotrajError):
-    """Line search could not find an acceptable step."""
-
-
 class NonFiniteObjective(NeotrajError):
     """Objective returned NaN or infinity."""
 

@@ -10,18 +10,28 @@ with, per dimension,
   * position interpolation q_i on both sides of each interior knot,
   * derivative continuity of orders 1..2S-2 across interior knots.
 
-That system is square (2S*M rows) and banded; with rows ordered
-(start boundary, per knot [continuity 1..2S-2, position left, position
-right], end boundary) the bandwidth is lower 3S-2, upper S+1, so one
-banded factorization solves all D dimensions in linear time.  Because
-the continuity orders extend to 2S-2, the unique solution is also the
+That system A(tbar) C = b(Q) is square (2S*M rows) and banded: with rows
+ordered (start boundary, per knot [continuity 1..2S-2, position left,
+position right], end boundary) the bandwidth is lower 3S-2, upper S+1
+for M >= 2.  Its pattern, its constant entries and, for every entry that
+depends on a duration, the unit coefficient and the power of tbar it
+scales with are fixed by (M, S); they are built once per (M, S) as a
+template, so assembling A(tbar) is one vectorised power-and-scatter into
+band storage.  Banded LU factorizations of A and A^T, linear in M, serve
+all D dimensions of the forward solve and of the adjoint solve
+A^T G = dK/dC, and the same template gives dA/dtbar for the duration
+gradient.  Because the
+continuity orders extend to 2S-2, the unique solution is also the
 minimizer of the integral of the squared S-th derivative among all
 C^{S-1} splines through the same waypoints.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -29,41 +39,25 @@ import scipy.linalg
 from .errors import NonPositiveDuration, OutOfDomain, ShapeMismatch, SingularSystem
 
 
-_FACTORS: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _basis_factors(n_coeffs: int, order: int) -> np.ndarray:
-    """Column scaling j!/(j-order)! of the order-th basis derivative."""
-    key = (n_coeffs, order)
-    if key not in _FACTORS:
-        fac = np.zeros(n_coeffs)
-        for j in range(order, n_coeffs):
-            f = 1.0
-            for m in range(j, j - order, -1):
-                f *= m
-            fac[j] = f
-        _FACTORS[key] = fac
-    return _FACTORS[key]
+    """Column scaling j!/(j-order)! of the order-th basis derivative (0 for j < order)."""
+    fac = np.array([math.perm(j, order) for j in range(n_coeffs)], dtype=float)
+    fac.flags.writeable = False  # shared by every caller through the cache
+    return fac
 
 
 def basis(t: float, order: int, n_coeffs: int) -> np.ndarray:
     """Row of the natural basis [1, t, ..., t^N] differentiated `order` times."""
-    out = np.zeros(n_coeffs)
-    if order >= n_coeffs:
-        return out
-    fac = _basis_factors(n_coeffs, order)
-    # d^k/dt^k t^j = j!/(j-k)! t^(j-k)
-    out[order:] = fac[order:] * t ** np.arange(n_coeffs - order)
-    return out
+    return basis_matrix(np.array([t]), order, n_coeffs)[0]
 
 
 def basis_matrix(ts: np.ndarray, order: int, n_coeffs: int) -> np.ndarray:
     """Stacked basis rows for many sample times at once, shape (len(ts), n_coeffs)."""
     ts = np.asarray(ts, dtype=float).ravel()
     out = np.zeros((ts.size, n_coeffs))
-    if order >= n_coeffs:
-        return out
     fac = _basis_factors(n_coeffs, order)
+    # d^k/dt^k t^j = j!/(j-k)! t^(j-k)
     out[:, order:] = fac[order:] * ts[:, None] ** np.arange(n_coeffs - order)
     return out
 
@@ -130,17 +124,18 @@ class BoundaryState:
 class Trajectory:
     """Executable piecewise polynomial: per-piece coefficients plus durations.
 
-    coefficients: list of M arrays, each (N+1, D); row j holds the t^j
-    coefficient of every dimension, in piece-local time.
+    coefficients: (M, N+1, D) array, or a list of M (N+1, D) arrays that is
+    stacked into one; coefficients[i, j] holds the t^j coefficient of every
+    dimension of piece i, in piece-local time.
     """
 
-    coefficients: list[np.ndarray]
+    coefficients: np.ndarray
     durations: np.ndarray
     start_times: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.durations = np.asarray(self.durations, dtype=float).ravel()
-        self.coefficients = [np.atleast_2d(np.asarray(c, dtype=float)) for c in self.coefficients]
+        self.coefficients = np.asarray(self.coefficients, dtype=float)
         self.start_times = np.concatenate(([0.0], np.cumsum(self.durations)))
 
     @property
@@ -149,7 +144,7 @@ class Trajectory:
 
     @property
     def dims(self) -> int:
-        return self.coefficients[0].shape[1]
+        return self.coefficients.shape[2]
 
     @property
     def total_time(self) -> float:
@@ -166,100 +161,133 @@ class Trajectory:
         """Evaluate the `order`-th derivative at global time t."""
         i = self.piece_index(t)
         s = min(t - self.start_times[i], self.durations[i])
-        n = self.coefficients[i].shape[0]
+        n = self.coefficients.shape[1]
         return basis(s, order, n) @ self.coefficients[i]
 
     def eval_piece(self, i: int, s: np.ndarray, order: int = 0) -> np.ndarray:
         """Evaluate piece i at local times s (vectorized), shape (len(s), D)."""
-        n = self.coefficients[i].shape[0]
+        n = self.coefficients.shape[1]
         return basis_matrix(s, order, n) @ self.coefficients[i]
 
 
-def _constraint_entries(durations: np.ndarray, s_order: int):
-    """Yield (row, col, value, dep) triplets of the constraint matrix A(tbar).
+class _Template(NamedTuple):
+    """Fixed structure of A(tbar) for one (M, S).
 
-    dep is (piece_index, derivative_order) for entries that depend on a
-    duration (basis evaluated at tbar_piece), or None for constants.
+    Nonzero e is A[rows[e], cols[e]] = coef[e] * tbar[piece[e]] ** pw[e]
+    (pw = 0 for the constant entries); lower and upper are A's bandwidths.
+    Row r depends on the duration of piece row_piece[r] (0 if on none).
+    knots[i] is the row of the left position-interpolation constraint of
+    interior knot i+1; the right one is the next row.
     """
-    m = durations.size
+
+    rows: np.ndarray
+    cols: np.ndarray
+    coef: np.ndarray
+    piece: np.ndarray
+    pw: np.ndarray
+    lower: int
+    upper: int
+    row_piece: np.ndarray
+    knots: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _template(m: int, s_order: int) -> _Template:
     n = 2 * s_order  # coefficients per piece
     entries = []
 
-    def add_basis_row(row, piece, t, order, sign=1.0, dep=None):
-        b = basis(t, order, n)
-        for j in range(n):
-            if b[j] != 0.0:
-                entries.append((row, n * piece + j, sign * b[j], dep))
+    def add(row, piece, order, at_end, sign=1.0):
+        # basis derivative `order` at local time 0 (order! on column `order`) or
+        # at tbar_piece (column j: j!/(j-order)! * tbar^(j-order))
+        fac = _basis_factors(n, order)
+        entries.extend((row, n * piece + j, sign * fac[j], piece, j - order)
+                       for j in range(order, n if at_end else order + 1))
 
-    # start boundary: orders 0..S-1 at local time 0 of piece 0
+    # start boundary (rows 0..S-1) and end boundary (last S rows)
     for k in range(s_order):
-        add_basis_row(k, 0, 0.0, k)
-
-    # interior knots
+        add(k, 0, k, False)
+        add(n * m - s_order + k, m - 1, k, True)
+    # interior knots: continuity orders 1..2S-2, then position left and right
     for i in range(1, m):
         r0 = s_order + n * (i - 1)
-        ti = durations[i - 1]
-        for k in range(1, n - 1):  # continuity orders 1..2S-2
-            add_basis_row(r0 + k - 1, i - 1, ti, k, dep=(i - 1, k))
-            add_basis_row(r0 + k - 1, i, 0.0, k, sign=-1.0)
-        add_basis_row(r0 + n - 2, i - 1, ti, 0, dep=(i - 1, 0))  # position left
-        add_basis_row(r0 + n - 1, i, 0.0, 0)  # position right
+        for k in range(1, n - 1):
+            add(r0 + k - 1, i - 1, k, True)
+            add(r0 + k - 1, i, k, False, sign=-1.0)
+        add(r0 + n - 2, i - 1, 0, True)
+        add(r0 + n - 1, i, 0, False)
 
-    # end boundary: orders 0..S-1 at local time tbar_M of the last piece
-    for k in range(s_order):
-        add_basis_row(n * m - s_order + k, m - 1, durations[m - 1], k, dep=(m - 1, k))
+    rows, cols, coef, piece, pw = (np.array(v) for v in zip(*entries))
+    row_piece = np.zeros(n * m, dtype=int)
+    row_piece[rows[pw > 0]] = piece[pw > 0]
+    return _Template(rows, cols, coef, piece, pw, int(max(rows - cols)), int(max(cols - rows)),
+                     row_piece, s_order + n * np.arange(m - 1) + n - 2)
 
-    return entries
+
+def band_matrix(durations: np.ndarray, s_order: int = 3, transpose: bool = False):
+    """A(tbar), or A^T, in LAPACK band storage: (ab, lower, upper) of that matrix.
+
+    Entry (r, c) sits at ab[lower + upper + r - c, c]; the first `lower` rows
+    are left for the fill-in of the LU factorization.
+    """
+    durations = np.asarray(durations, dtype=float).ravel()
+    tp = _template(durations.size, s_order)
+    rows, cols, lo, up = (tp.rows, tp.cols, tp.lower, tp.upper) if not transpose else (
+        tp.cols, tp.rows, tp.upper, tp.lower)
+    ab = np.zeros((2 * lo + up + 1, tp.row_piece.size), order="F")
+    ab[lo + up + rows - cols, cols] = tp.coef * durations[tp.piece] ** tp.pw
+    return ab, lo, up
+
+
+# Banded LAPACK: linear in M, and single-threaded at these sizes.  The dense
+# getrs/trtrs of the bundled OpenBLAS start threads even for an 18x18 system
+# and stall for milliseconds per call when other processes hold the cores.
+_GBTRF, _GBTRS = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=np.float64)
 
 
 class BandedSystem:
-    """Constraint matrix A(tbar) in banded form, with its transpose.
+    """Banded LU factorizations of the constraint matrix A(tbar) and of A^T.
 
-    Built once per (durations, s_order) and shared between the forward
-    solve and the adjoint solve of the same objective evaluation.
+    Built once per (durations, s_order) and shared by the forward and the
+    adjoint solve of one objective evaluation.  A^T is factored in its own
+    right, not solved through the factors of A, so that each solution is
+    bitwise that of a banded solve of A or A^T.  A zero pivot or a non-finite
+    solution (non-finite durations or right-hand side) raises SingularSystem.
     """
 
     def __init__(self, durations: np.ndarray, s_order: int):
         self.durations = np.asarray(durations, dtype=float).ravel()
         self.s_order = s_order
-        self.size = 2 * s_order * self.durations.size
-        self.lower = 3 * s_order - 2
-        self.upper = s_order + 1
-        entries = _constraint_entries(self.durations, s_order)
-        self.ab = np.zeros((self.lower + self.upper + 1, self.size))
-        self.ab_t = np.zeros((self.lower + self.upper + 1, self.size))
-        self.row_deps: dict[int, tuple[int, int]] = {}
-        for r, c, v, dep in entries:
-            self.ab[self.upper + r - c, c] = v
-            self.ab_t[self.lower + c - r, r] = v
-            if dep is not None:
-                self.row_deps[r] = dep  # all dep entries of a row share (piece, order)
+        self.template = _template(self.durations.size, s_order)
+        self._factors = [self._factor(*band_matrix(self.durations, s_order, t)) for t in (0, 1)]
+
+    @staticmethod
+    def _factor(ab, lower, upper):
+        lu, piv, info = _GBTRF(ab, lower, upper, overwrite_ab=True)
+        if info != 0:
+            raise SingularSystem(f"zero pivot in column {info} of the coefficient system")
+        return lu, lower, upper, piv
+
+    def _solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+        lu, lower, upper, piv = self._factors[transpose]
+        x, info = _GBTRS(lu, lower, upper, rhs, piv)
+        if info != 0 or not np.isfinite(x).all():
+            raise SingularSystem("coefficient system has no finite solution")
+        return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        try:
-            return scipy.linalg.solve_banded((self.lower, self.upper), self.ab, rhs)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularSystem(str(exc)) from exc
+        return self._solve(rhs, False)
 
     def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        try:
-            return scipy.linalg.solve_banded((self.upper, self.lower), self.ab_t, rhs)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise SingularSystem(str(exc)) from exc
+        return self._solve(rhs, True)
 
 
 def _build_rhs(init: BoundaryState, target: BoundaryState, params: TrajParams, s_order: int):
-    m = params.n_pieces
     n = 2 * s_order
-    d = init.position.size
-    b = np.zeros((n * m, d))
-    for k in range(s_order):
-        b[k] = init.derivative(k)
-        b[n * m - s_order + k] = target.derivative(k)
-    for i in range(1, m):
-        r0 = s_order + n * (i - 1)
-        b[r0 + n - 2] = params.waypoints[:, i - 1]
-        b[r0 + n - 1] = params.waypoints[:, i - 1]
+    b = np.zeros((n * params.n_pieces, init.position.size))
+    b[:s_order] = [init.derivative(k) for k in range(s_order)]
+    b[-s_order:] = [target.derivative(k) for k in range(s_order)]
+    knots = _template(params.n_pieces, s_order).knots
+    b[knots] = b[knots + 1] = params.waypoints.T
     return b
 
 
@@ -272,24 +300,20 @@ def solve_coeffs(
 ) -> Trajectory:
     """Map (Q, tbar) to the unique minimum-effort coefficient matrices.
 
-    Solves the banded boundary-intermediate value problem once per call;
-    all D dimensions share the factorization input (same A, stacked rhs).
+    Solves the boundary-intermediate value problem once per call; all D
+    dimensions share the factorization (same A, stacked rhs).
     """
     if np.any(params.durations <= 0.0):
         raise NonPositiveDuration(f"durations must be positive, got {params.durations}")
-    m = params.n_pieces
-    n = 2 * s_order
     if system is None:
         system = BandedSystem(params.durations, s_order)
-    rhs = _build_rhs(init, target, params, s_order)
-    coeffs_flat = system.solve(rhs)
-    coefficients = [coeffs_flat[n * i : n * (i + 1)] for i in range(m)]
-    return Trajectory(coefficients=coefficients, durations=params.durations.copy())
+    coeffs = system.solve(_build_rhs(init, target, params, s_order))
+    return Trajectory(coeffs.reshape(params.n_pieces, 2 * s_order, -1), params.durations.copy())
 
 
 def propagate_gradients(
     traj: Trajectory,
-    dk_dc: list[np.ndarray],
+    dk_dc: np.ndarray | list[np.ndarray],
     dk_dt: np.ndarray,
     params: TrajParams,
     s_order: int = 3,
@@ -297,18 +321,20 @@ def propagate_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull objective gradients from (C, tbar)-space back to (Q, tbar)-space.
 
-    Solves the adjoint system A^T G = dK/dC; the waypoint gradient collects
-    the G rows of the two position-interpolation constraints at each knot,
-    and the duration gradient subtracts G^T (dA/dtbar_i) C, where dA/dtbar_i
-    differentiates the basis rows evaluated at tbar_i (one extra derivative
-    order on the owning piece).
+    dk_dc is an (M, N+1, D) array or a list of M (N+1, D) arrays.  Solves
+    the adjoint system A^T G = dK/dC; the waypoint gradient collects the G
+    rows of the two position-interpolation constraints at each knot, and
+    the duration gradient subtracts G^T (dA/dtbar_i) C, whose entries are
+    the template's coef * pw * tbar_i^(pw-1).
 
     Returns (dH_dQ (D, M-1), dH_dtbar (M,)).
     """
-    m = traj.n_pieces
-    n = 2 * s_order
-    d = traj.dims
-    if len(dk_dc) != m or any(g.shape != (n, d) for g in dk_dc):
+    m, n, d = traj.coefficients.shape
+    try:
+        dk_dc = np.asarray(dk_dc, dtype=float)
+    except ValueError as exc:  # ragged list of per-piece arrays
+        raise ShapeMismatch("dk_dc must match the trajectory's coefficient shapes") from exc
+    if n != 2 * s_order or dk_dc.shape != (m, n, d):
         raise ShapeMismatch("dk_dc must match the trajectory's coefficient shapes")
     dk_dt = np.asarray(dk_dt, dtype=float).ravel()
     if dk_dt.size != m:
@@ -316,19 +342,15 @@ def propagate_gradients(
 
     if system is None:
         system = BandedSystem(params.durations, s_order)
-    g = system.solve_transpose(np.vstack(dk_dc))
+    g = system.solve_transpose(dk_dc.reshape(m * n, d))
+    tp = system.template
+    dh_dq = (g[tp.knots] + g[tp.knots + 1]).T
 
-    dh_dq = np.zeros((d, max(m - 1, 0)))
-    for i in range(1, m):
-        r0 = s_order + n * (i - 1)
-        dh_dq[:, i - 1] = g[r0 + n - 2] + g[r0 + n - 1]
-
-    # rows of A that depend on tbar_i differentiate to the next basis order,
-    # i.e. (dA/dtbar_i C)[row] = p_i^(k+1)(tbar_i)
+    # row r of dA/dtbar_i C is the next-order basis row at tbar_i times C_i;
+    # the rows are reduced in ascending order, one dot product each
+    drows = np.zeros((m * n, n))
+    drows[tp.rows, tp.cols % n] = tp.coef * tp.pw * system.durations[tp.piece] ** (tp.pw - 1)
+    dvec = drows[:, None, :] @ traj.coefficients[tp.row_piece]  # (2SM, 1, D)
     dh_dt = dk_dt.copy()
-    for r, (piece, order) in system.row_deps.items():
-        ti = params.durations[piece]
-        dvec = basis(ti, order + 1, n) @ traj.coefficients[piece]
-        dh_dt[piece] -= float(g[r] @ dvec)
-
+    np.subtract.at(dh_dt, tp.row_piece, (dvec @ g[:, :, None])[:, 0, 0])
     return dh_dq, dh_dt

@@ -13,10 +13,14 @@ inside (tbar_min, tbar_max).
 Because the sample times are fixed fractions of each piece duration, the
 basis rows separate as unit-basis times powers of the duration; the unit
 parts are cached per (kappa, degree) so an evaluation only scales them.
+Every term works on all pieces at once: (M, kappa+1, N+1) sample bases
+against the trajectory's (M, N+1, D) coefficients, and returns dK/dC as
+one (M, N+1, D) array.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +83,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _duration_map(tau: np.ndarray, tf: TimeTransform):
+    """Durations in (t_min, t_max) for tau and dtbar/dtau, from one sigmoid."""
+    sig = _sigmoid(tau)
+    return tf.span * sig + tf.t_min, tf.span * sig * (1.0 - sig)
+
+
 def tau_to_time(tau: np.ndarray, tf: TimeTransform) -> np.ndarray:
     """Map unconstrained tau to durations in (t_min, t_max)."""
-    return tf.span * _sigmoid(tau) + tf.t_min
+    return _duration_map(tau, tf)[0]
 
 
 def time_to_tau(tbar: np.ndarray, tf: TimeTransform) -> np.ndarray:
@@ -95,79 +105,55 @@ def time_to_tau(tbar: np.ndarray, tf: TimeTransform) -> np.ndarray:
 
 def tau_chain_factor(tau: np.ndarray, tf: TimeTransform) -> np.ndarray:
     """dtbar/dtau, used to chain duration gradients onto tau."""
-    sig = _sigmoid(tau)
-    return tf.span * sig * (1.0 - sig)
+    return _duration_map(tau, tf)[1]
 
 
-_FACTOR_CACHE: dict = {}
-_UNIT_CACHE: dict = {}
-
-
-def _deriv_factors(n: int, order: int) -> np.ndarray:
-    """Column scaling j!/(j-order)! of the order-th basis derivative."""
-    key = (n, order)
-    if key not in _FACTOR_CACHE:
-        fac = np.zeros(n)
-        for j in range(order, n):
-            f = 1.0
-            for m in range(j, j - order, -1):
-                f *= m
-            fac[j] = f
-        _FACTOR_CACHE[key] = fac
-    return _FACTOR_CACHE[key]
-
-
+@functools.lru_cache(maxsize=None)
 def _unit_bases(kappa: int, n: int, order: int):
     """Unit sampling basis and duration exponents for fixed fractions j/kappa.
 
     Basis rows at s = frac*t factor as unit[k, j] * t**pw[j]; returns
     (unit (kappa+1, n), pw (n,)).
     """
-    key = (kappa, n, order)
-    if key not in _UNIT_CACHE:
-        frac = np.arange(kappa + 1) / kappa
-        fac = _deriv_factors(n, order)
-        unit = np.zeros((kappa + 1, n))
-        pw = np.zeros(n)
-        for j in range(order, n):
-            unit[:, j] = fac[j] * frac ** (j - order)
-            pw[j] = j - order
-        _UNIT_CACHE[key] = (unit, pw)
-    return _UNIT_CACHE[key]
+    pw = np.maximum(np.arange(n) - order, 0).astype(float)
+    unit = minco._basis_factors(n, order) * (np.arange(kappa + 1) / kappa)[:, None] ** pw
+    unit.flags.writeable = pw.flags.writeable = False  # shared through the cache
+    return unit, pw
 
 
-def _sample_basis(kappa: int, n: int, order: int, t: float) -> np.ndarray:
+def _sample_bases(kappa: int, n: int, order: int, tbar: np.ndarray) -> np.ndarray:
+    """Order-th derivative basis at the kappa+1 samples of every piece, (M, kappa+1, n)."""
     unit, pw = _unit_bases(kappa, n, order)
-    return unit * t**pw
+    return unit * tbar[:, None, None] ** pw
 
 
-def _zero_grads(traj: Trajectory):
-    dk_dc = [np.zeros_like(c) for c in traj.coefficients]
-    dk_dt = np.zeros(traj.n_pieces)
-    return dk_dc, dk_dt
+def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, one BLAS dot per piece through matmul.
+
+    These are the very calls a per-piece loop makes, so no result bit changes.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def control_effort(traj: Trajectory, s_order: int = 3):
     """Closed-form integral of the squared S-th derivative over all pieces.
 
-    Returns (cost, dK_dC, dK_dt).
+    Returns (cost, dK_dC (M, N+1, D), dK_dt (M,)).
     """
-    n = traj.coefficients[0].shape[0]
-    dk_dc, dk_dt = _zero_grads(traj)
-    fac = _deriv_factors(n, s_order)[s_order:]
-    deg = n - s_order  # number of coefficients of the S-th derivative
-    a_idx = np.arange(deg)
+    c, t = traj.coefficients, traj.durations
+    n = c.shape[1]
+    fac = minco._basis_factors(n, s_order)[s_order:]
+    a_idx = np.arange(n - s_order)  # powers of the S-th derivative
     psum = a_idx[:, None] + a_idx[None, :] + 1
-    cost = 0.0
-    for i, c in enumerate(traj.coefficients):
-        t = traj.durations[i]
-        u = fac[:, None] * c[s_order:]
-        p = t**psum / psum
-        cost += float(np.einsum("ad,ab,bd->", u, p, u))
-        dk_dc[i][s_order:] = 2.0 * fac[:, None] * (p @ u)
-        end_deriv = (t ** a_idx) @ u
-        dk_dt[i] = float(end_deriv @ end_deriv)
-    return cost, dk_dc, dk_dt
+    u = fac[:, None] * c[:, s_order:]  # (M, deg, D)
+    p = t[:, None, None] ** psum / psum
+    dk_dc = np.zeros_like(c)
+    dk_dc[:, s_order:] = 2.0 * fac[:, None] * (p @ u)
+    end_deriv = ((t[:, None] ** a_idx)[:, None, :] @ u)[:, 0]
+    # one einsum per piece: a batched einsum may iterate the terms in another
+    # order, and the cost would no longer be bitwise that of a per-piece sum
+    cost = sum(np.einsum("ad,ab,bd->", u[i], p[i], u[i]) for i in range(len(c)))
+    return float(cost), dk_dc, _dot_last(end_deriv, end_deriv)
 
 
 def time_cost(tbar: np.ndarray):
@@ -182,6 +168,20 @@ def _trapezoid_weights(kappa: int) -> np.ndarray:
     return w
 
 
+def _sampled_penalty(traj: Trajectory, kappa: int, pen, dpen_dc, dpen_ds):
+    """Trapezoid integral of per-sample penalties pen (M, kappa+1) over every piece.
+
+    dpen_dc (M, N+1, D) is the weighted sum of dpen/dC over each piece's
+    samples, dpen_ds (M, kappa+1) each penalty's derivative along piece-local
+    time; sample k sits at s = tbar_i * k/kappa.  Returns (cost, dK_dC, dK_dt).
+    """
+    w = _trapezoid_weights(kappa)
+    scale = traj.durations / kappa
+    w_pen = _dot_last(w, pen)
+    dk_dt = (1.0 / kappa) * w_pen + scale * _dot_last(w, dpen_ds * (np.arange(kappa + 1) / kappa))
+    return float(sum(scale * w_pen)), scale[:, None, None] * dpen_dc, dk_dt
+
+
 def obstacle_cost(traj: Trajectory, world, cfg: PenaltyConfig):
     """Clearance penalty accumulated along trapezoid samples of each piece.
 
@@ -192,30 +192,18 @@ def obstacle_cost(traj: Trajectory, world, cfg: PenaltyConfig):
     if world is None or getattr(world, "field", None) is None:
         raise WorldMissingDistanceField("obstacle cost needs a distance field")
     kappa = cfg.kappa
+    c, t = traj.coefficients, traj.durations
+    m, n, d = c.shape
+    b0 = _sample_bases(kappa, n, 0, t)
+    dist, dgrad = world.query_distance((b0 @ c).reshape(-1, d))
+    gap = np.maximum(cfg.d_safe - dist, 0.0).reshape(m, kappa + 1)
+    if not gap.any():
+        return 0.0, np.zeros_like(c), np.zeros(m)
     w = _trapezoid_weights(kappa)
-    frac = np.arange(kappa + 1) / kappa
-    dk_dc, dk_dt = _zero_grads(traj)
-    n = traj.coefficients[0].shape[0]
-    m = traj.n_pieces
-
-    b0 = [_sample_basis(kappa, n, 0, traj.durations[i]) for i in range(m)]
-    pos = np.vstack([b0[i] @ traj.coefficients[i] for i in range(m)])
-    dist, dgrad = world.query_distance(pos)
-    gap = np.maximum(cfg.d_safe - dist, 0.0)
-    pen = gap**3
-    dpen_dpos = (-3.0 * gap**2)[:, None] * dgrad
-
-    cost = 0.0
-    for i in range(m):
-        t = traj.durations[i]
-        sl = slice(i * (kappa + 1), (i + 1) * (kappa + 1))
-        pen_i, dpen_i = pen[sl], dpen_dpos[sl]
-        cost += (t / kappa) * float(w @ pen_i)
-        dk_dc[i] += (t / kappa) * (b0[i].T @ (w[:, None] * dpen_i))
-        vel = _sample_basis(kappa, n, 1, t) @ traj.coefficients[i]
-        dot_v = np.sum(dpen_i * vel, axis=1)
-        dk_dt[i] = (1.0 / kappa) * float(w @ pen_i) + (t / kappa) * float(w @ (dot_v * frac))
-    return cost, dk_dc, dk_dt
+    dpen_dpos = (-3.0 * gap**2)[..., None] * dgrad.reshape(m, kappa + 1, d)
+    vel = _sample_bases(kappa, n, 1, t) @ c
+    dpen_dc = b0.transpose(0, 2, 1) @ (w[:, None] * dpen_dpos)
+    return _sampled_penalty(traj, kappa, gap**3, dpen_dc, np.sum(dpen_dpos * vel, axis=2))
 
 
 def feasibility_cost(traj: Trajectory, cfg: PenaltyConfig):
@@ -225,32 +213,23 @@ def feasibility_cost(traj: Trajectory, cfg: PenaltyConfig):
     Returns (cost, dK_dC, dK_dt).
     """
     kappa = cfg.kappa
-    w = _trapezoid_weights(kappa)
-    frac = np.arange(kappa + 1) / kappa
-    dk_dc, dk_dt = _zero_grads(traj)
-    cost = 0.0
-    n = traj.coefficients[0].shape[0]
-    for i in range(traj.n_pieces):
-        t = traj.durations[i]
-        b1 = _sample_basis(kappa, n, 1, t)
-        b2 = _sample_basis(kappa, n, 2, t)
-        vel = b1 @ traj.coefficients[i]
-        acc = b2 @ traj.coefficients[i]
-        ev = np.maximum(np.sum(vel**2, axis=1) - cfg.v_max**2, 0.0)
-        ea = np.maximum(np.sum(acc**2, axis=1) - cfg.a_max**2, 0.0)
-        pen = ev**3 + ea**3
-        cost += (t / kappa) * float(w @ pen)
-        if not pen.any():
-            continue
-        jrk = _sample_basis(kappa, n, 3, t) @ traj.coefficients[i]
-        dk_dc[i] += (t / kappa) * (
-            b1.T @ (w[:, None] * (6.0 * ev**2)[:, None] * vel)
-            + b2.T @ (w[:, None] * (6.0 * ea**2)[:, None] * acc)
-        )
-        # sample-time dependence: d|v|^2/ds = 2 v.a, d|a|^2/ds = 2 a.jerk
-        dpen_ds = 6.0 * ev**2 * np.sum(vel * acc, axis=1) + 6.0 * ea**2 * np.sum(acc * jrk, axis=1)
-        dk_dt[i] = (1.0 / kappa) * float(w @ pen) + (t / kappa) * float(w @ (dpen_ds * frac))
-    return cost, dk_dc, dk_dt
+    c, t = traj.coefficients, traj.durations
+    m, n, _ = c.shape
+    b1 = _sample_bases(kappa, n, 1, t)
+    b2 = _sample_bases(kappa, n, 2, t)
+    vel, acc = b1 @ c, b2 @ c
+    ev = np.maximum(np.sum(vel**2, axis=2) - cfg.v_max**2, 0.0)
+    ea = np.maximum(np.sum(acc**2, axis=2) - cfg.a_max**2, 0.0)
+    if not (ev.any() or ea.any()):
+        return 0.0, np.zeros_like(c), np.zeros(m)
+    w = _trapezoid_weights(kappa)[:, None]
+    jrk = _sample_bases(kappa, n, 3, t) @ c
+    b1t, b2t = b1.transpose(0, 2, 1), b2.transpose(0, 2, 1)
+    dpen_dc = (b1t @ (w * (6.0 * ev**2)[..., None] * vel)
+               + b2t @ (w * (6.0 * ea**2)[..., None] * acc))
+    # sample-time dependence: d|v|^2/ds = 2 v.a, d|a|^2/ds = 2 a.jerk
+    dpen_ds = 6.0 * ev**2 * np.sum(vel * acc, axis=2) + 6.0 * ea**2 * np.sum(acc * jrk, axis=2)
+    return _sampled_penalty(traj, kappa, ev**3 + ea**3, dpen_dc, dpen_ds)
 
 
 @dataclass
@@ -278,21 +257,20 @@ def total_objective(q: np.ndarray, tau: np.ndarray, setup: ObjectiveSetup):
     q = np.atleast_2d(np.asarray(q, dtype=float))
     tau = np.asarray(tau, dtype=float).ravel()
     w = setup.weights
-    tbar = tau_to_time(tau, setup.transform)
+    tbar, dtbar_dtau = _duration_map(tau, setup.transform)
     params = TrajParams(q, tbar)
     system = BandedSystem(tbar, setup.s_order)
     traj = minco.solve_coeffs(setup.init, setup.target, params, setup.s_order, system)
 
     cost = 0.0
-    dk_dc = [np.zeros_like(c) for c in traj.coefficients]
+    dk_dc = np.zeros_like(traj.coefficients)
     dk_dt = np.zeros(traj.n_pieces)
 
     def accumulate(term_cost, term_dc, term_dt, weight):
         nonlocal cost
         cost += weight * term_cost
-        for i in range(traj.n_pieces):
-            dk_dc[i] += weight * term_dc[i]
-        dk_dt[:] += weight * term_dt
+        dk_dc[...] += weight * term_dc
+        dk_dt[...] += weight * term_dt
 
     if w.effort != 0.0:
         accumulate(*control_effort(traj, setup.s_order), w.effort)
@@ -306,5 +284,4 @@ def total_objective(q: np.ndarray, tau: np.ndarray, setup: ObjectiveSetup):
         accumulate(*feasibility_cost(traj, setup.penalty), w.feasibility)
 
     dh_dq, dh_dt = minco.propagate_gradients(traj, dk_dc, dk_dt, params, setup.s_order, system)
-    dh_dtau = dh_dt * tau_chain_factor(tau, setup.transform)
-    return cost, dh_dq, dh_dtau
+    return cost, dh_dq, dh_dt * dtbar_dtau

@@ -16,13 +16,14 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import initializers, neural
 from .config import RunConfig
-from .errors import ActivationInPast, NoFreeCell
+from .errors import ActivationInPast, NeotrajError, NoFreeCell
 from .minco import BoundaryState, Trajectory
 from .objective import CostWeights, PenaltyConfig, TimeTransform
 from .solver import SolverConfig, plan
@@ -277,6 +278,11 @@ class EpisodeReport:
                 writer.writerow([repr(float(v)) for v in row])
 
 
+def _failure_reason(exc: NeotrajError) -> str:
+    """Snake-cased error class name, e.g. NoFreeCell -> no_free_cell."""
+    return re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
+
+
 def _heading_of(velocity, position, goal) -> float:
     """Velocity direction when moving, otherwise face the global goal."""
     if float(np.linalg.norm(velocity)) > 0.1:
@@ -386,8 +392,8 @@ def run_episode(
                 while pending and pending[0][0] + pending[0][1] <= t + eps:
                     t_x, eff_foresee, traj = pending.pop(0)
                     splice(committed, traj, t_x, eff_foresee)
-            except NoFreeCell:
-                report.failure_reason = "no_free_cell"
+            except NeotrajError as exc:  # a failed replan ends this episode only
+                report.failure_reason = _failure_reason(exc)
                 report.flight_time = t
                 break
 

@@ -63,7 +63,7 @@ def _cubic_min(a, fa, da, b, fb, db):
 
 
 class _Objective:
-    """Caches the last evaluation so line search and update share it."""
+    """Counts evaluations of f and normalizes its (value, gradient) output."""
 
     def __init__(self, f):
         self.f = f

@@ -42,3 +42,22 @@ def random_instance(rng, m=3, d=2, scale=2.0):
 def make_trajectory(rng, m=3, d=2):
     init, target, params = random_instance(rng, m, d)
     return solve_coeffs(init, target, params), init, target, params
+
+
+@pytest.fixture()
+def plan_fails_from_second_call(monkeypatch):
+    """Make every replan after the first raise SingularSystem; returns the call log."""
+    from neotraj import replan
+    from neotraj.errors import SingularSystem
+
+    real_plan = replan.plan
+    calls = []
+
+    def plan(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) >= 2:
+            raise SingularSystem("injected")
+        return real_plan(*args, **kwargs)
+
+    monkeypatch.setattr(replan, "plan", plan)
+    return calls

@@ -107,6 +107,17 @@ def test_bench_grid_rows_and_determinism(tmp_path):
     assert (out2 / "bench_success_rate.svg").exists()
 
 
+def test_bench_survives_planner_error(tmp_path, monkeypatch, plan_fails_from_second_call):
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")  # in-process, so the patched plan is used
+    out = tmp_path / "b"
+    assert run(["bench", "--scenes", "6", "--runs", 1, "--inits", "baseline,geo",
+                "--seed", 5, "--out-dir", out]) == 0
+    episodes = [json.loads(line) for line in (out / "episodes.jsonl").read_text().splitlines()]
+    assert [e["strategy"] for e in episodes] == ["baseline", "geo"]
+    assert all(e["failure_reason"] == "singular_system" for e in episodes)
+    assert len((out / "aggregate.csv").read_text().splitlines()) == 1 + 2
+
+
 @pytest.mark.slow
 def test_latency_table_shape(tmp_path):
     out = tmp_path / "latency.csv"

@@ -2,21 +2,26 @@
 
 Independent oracles: numpy polynomial evaluation (np.polyval on reversed
 coefficients) for constraint residuals, a dense numpy solve for the
-min-jerk quintic, quadrature via np.polyint for the optimality check, and
-central finite differences for propagate_gradients.
+min-jerk quintic, quadrature via np.polyint for the optimality check,
+central finite differences for propagate_gradients, and a row-by-row
+reference assembly of A(tbar) from `basis` for the (M, S) template.
 """
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import make_trajectory, random_instance
-from neotraj.errors import NonPositiveDuration, OutOfDomain, ShapeMismatch
+from neotraj.errors import NonPositiveDuration, OutOfDomain, ShapeMismatch, SingularSystem
 from neotraj.minco import (
+    BandedSystem,
     BoundaryState,
     TrajParams,
     Trajectory,
+    band_matrix,
+    basis,
     propagate_gradients,
     solve_coeffs,
 )
@@ -257,3 +262,102 @@ def test_waypoint_gradient_of_knot_position_cost(rng):
     dq, _ = propagate_gradients(traj, dk_dc, dk_dt, TrajParams(q, tb))
     assert dq[0, 0] == pytest.approx(2.0 * q[0, 0], rel=1e-9)
     assert _fd_check_h(knot_cost, init, target, q, tb) < 1e-5
+
+
+def reference_system(durations, s=3):
+    """Oracle A(tbar), assembled row by row from `basis` evaluations.
+
+    Also returns, for every row that depends on a duration, its
+    (piece, derivative order): d/dtbar of that row is the next-order basis.
+    """
+    m, n = durations.size, 2 * s
+    a = np.zeros((n * m, n * m))
+    deps = {}
+
+    def put(row, piece, t, order, sign=1.0, dep=False):
+        a[row, n * piece : n * (piece + 1)] += sign * basis(t, order, n)
+        if dep:
+            deps[row] = (piece, order)
+
+    for k in range(s):
+        put(k, 0, 0.0, k)
+        put(n * m - s + k, m - 1, durations[-1], k, dep=True)
+    for i in range(1, m):
+        r0, ti = s + n * (i - 1), durations[i - 1]
+        for k in range(1, n - 1):  # continuity orders 1..2S-2
+            put(r0 + k - 1, i - 1, ti, k, dep=True)
+            put(r0 + k - 1, i, 0.0, k, sign=-1.0)
+        put(r0 + n - 2, i - 1, ti, 0, dep=True)  # position left
+        put(r0 + n - 1, i, 0.0, 0)  # position right
+    return a, deps
+
+
+def reference_rhs(init, target, params, s=3):
+    n, m = 2 * s, params.n_pieces
+    b = np.zeros((n * m, params.dims))
+    for k in range(s):
+        b[k] = init.derivative(k)
+        b[n * m - s + k] = target.derivative(k)
+    for i in range(1, m):
+        b[s + n * (i - 1) + n - 2] = b[s + n * (i - 1) + n - 1] = params.waypoints[:, i - 1]
+    return b
+
+
+def to_band(a, lower, upper):
+    """LAPACK band storage of a dense matrix, as scipy.linalg.solve_banded takes it."""
+    r, c = np.nonzero(a)
+    assert np.all((r - c <= lower) & (c - r <= upper))  # the band holds every entry
+    ab = np.zeros((lower + upper + 1, a.shape[1]))
+    ab[upper + r - c, c] = a[r, c]
+    return ab
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_template_matches_reference_assembly(rng, m):
+    # the template, the shared solves and the vectorised duration gradient
+    # reproduce the row-by-row reference bitwise: same entries, the same
+    # banded LAPACK solves of A and A^T, the same per-row reduction order
+    for _ in range(10):
+        init, target, params = random_instance(rng, m=m)
+        tb = params.durations
+        a_ref, deps = reference_system(tb)
+        ab, lower, upper = band_matrix(tb)
+        assert np.array_equal(ab[lower:], to_band(a_ref, lower, upper))
+
+        c_ref = scipy.linalg.solve_banded(
+            (lower, upper), to_band(a_ref, lower, upper), reference_rhs(init, target, params))
+        traj = solve_coeffs(init, target, params)
+        assert np.array_equal(traj.coefficients.reshape(c_ref.shape), c_ref)
+
+        dk_dc = rng.normal(size=(m, 6, 2))
+        dk_dt = rng.normal(size=m)
+        abt, lower_t, upper_t = band_matrix(tb, transpose=True)
+        assert (lower_t, upper_t) == (upper, lower)
+        assert np.array_equal(abt[upper:], to_band(a_ref.T, upper, lower))
+        g = scipy.linalg.solve_banded(
+            (upper, lower), to_band(a_ref.T, upper, lower), dk_dc.reshape(6 * m, 2))
+        dt_ref = dk_dt.copy()
+        for row, (piece, order) in sorted(deps.items()):
+            dvec = basis(tb[piece], order + 1, 6) @ traj.coefficients[piece]
+            dt_ref[piece] -= g[row] @ dvec
+        dq_ref = np.array([g[3 + 6 * i + 4] + g[3 + 6 * i + 5] for i in range(m - 1)]).T
+        for grads in (dk_dc, list(dk_dc)):  # stacked array or per-piece list
+            dq, dt = propagate_gradients(traj, grads, dk_dt, params)
+            assert np.array_equal(dt, dt_ref)
+            assert dq.shape == (2, m - 1) and np.array_equal(dq, dq_ref.reshape(2, m - 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_waypoints_raise_singular(bad):
+    z = BoundaryState([0.0, 0.0], [0.0, 0.0])
+    with pytest.raises(SingularSystem):
+        solve_coeffs(z, z, TrajParams(np.array([[bad], [0.0]]), [1.0, 1.0]))
+
+
+def test_degenerate_durations_raise_singular():
+    # zero pivot: a zero-length piece makes its boundary rows coincide
+    with pytest.raises(SingularSystem):
+        BandedSystem(np.array([1.0, 0.0]), 3)
+    # non-finite durations make the matrix, and so the solution, non-finite
+    with pytest.raises(SingularSystem):
+        BandedSystem(np.array([np.nan, 1.0]), 3).solve(np.ones((12, 2)))

@@ -1,5 +1,7 @@
 """Objective terms, tau transform, and full-gradient finite differences."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,100 @@ def test_total_objective_gradients_match_fd(scene4_world, rng):
         tau = rng.normal(scale=0.8, size=3)
         worst = max(worst, _fd_total(q, tau, setup))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_total_objective_gradients_match_fd_per_piece_count(scene4_world, rng, m):
+    # the terms are batched over pieces; check every piece count the template serves
+    from neotraj.cli import _near_field_kink
+
+    init = BoundaryState([2.0, 0.3], [0.8, 0.1])
+    target = BoundaryState([8.0, -0.5], [0.5, -0.2])
+    setup = ObjectiveSetup(init, target, scene4_world)
+    line = init.position[:, None] + np.outer(target.position - init.position, np.arange(1, m) / m)
+    worst, checked = 0.0, 0
+    while checked < 10:
+        q = line + rng.normal(scale=1.0, size=line.shape)
+        tau = rng.normal(scale=0.8, size=m)
+        if _near_field_kink(q, tau, setup, scene4_world):
+            continue  # FD across a cell border of the bilinear field is meaningless
+        worst = max(worst, _fd_total(q, tau, setup))
+        checked += 1
+    assert worst < 1e-4
+
+
+def _loop_sample_basis(kappa, n, order, t):
+    frac = np.arange(kappa + 1) / kappa
+    unit, pw = np.zeros((kappa + 1, n)), np.zeros(n)
+    for j in range(order, n):
+        unit[:, j] = math.perm(j, order) * frac ** (j - order)
+        pw[j] = j - order
+    return unit * t**pw
+
+
+def _loop_terms(traj, world, cfg, s=3):
+    """Reference: the three cost terms evaluated piece by piece in a Python loop."""
+    m, n, kappa = traj.n_pieces, traj.coefficients.shape[1], cfg.kappa
+    w = np.ones(kappa + 1)
+    w[0] = w[-1] = 0.5
+    frac = np.arange(kappa + 1) / kappa
+    fac = np.array([math.perm(j, s) for j in range(s, n)], dtype=float)
+    a_idx = np.arange(n - s)
+    psum = a_idx[:, None] + a_idx[None, :] + 1
+    out = {k: [0.0, [np.zeros((n, 2)) for _ in range(m)], np.zeros(m)] for k in "eof"}
+    pos = np.vstack([_loop_sample_basis(kappa, n, 0, t) @ c
+                     for c, t in zip(traj.coefficients, traj.durations)])
+    dist, dgrad = world.query_distance(pos)
+    gap = np.maximum(cfg.d_safe - dist, 0.0)
+    for i, (c, t) in enumerate(zip(traj.coefficients, traj.durations)):
+        e = out["e"]
+        u = fac[:, None] * c[s:]
+        p = t**psum / psum
+        e[0] += float(np.einsum("ad,ab,bd->", u, p, u))
+        e[1][i][s:] = 2.0 * fac[:, None] * (p @ u)
+        end = (t**a_idx) @ u
+        e[2][i] = float(end @ end)
+
+        b = [_loop_sample_basis(kappa, n, k, t) for k in range(4)]
+        vel, acc, jrk = b[1] @ c, b[2] @ c, b[3] @ c
+        sl = slice(i * (kappa + 1), (i + 1) * (kappa + 1))
+        pen, dpen = gap[sl] ** 3, (-3.0 * gap[sl] ** 2)[:, None] * dgrad[sl]
+        dpen_ds = np.sum(dpen * vel, axis=1)
+        o = out["o"]
+        o[0] += (t / kappa) * float(w @ pen)
+        o[1][i] += (t / kappa) * (b[0].T @ (w[:, None] * dpen))
+        o[2][i] = (1.0 / kappa) * float(w @ pen) + (t / kappa) * float(w @ (dpen_ds * frac))
+
+        ev = np.maximum(np.sum(vel**2, axis=1) - cfg.v_max**2, 0.0)
+        ea = np.maximum(np.sum(acc**2, axis=1) - cfg.a_max**2, 0.0)
+        pen = ev**3 + ea**3
+        f = out["f"]
+        f[0] += (t / kappa) * float(w @ pen)
+        f[1][i] += (t / kappa) * (b[1].T @ (w[:, None] * (6.0 * ev**2)[:, None] * vel)
+                                  + b[2].T @ (w[:, None] * (6.0 * ea**2)[:, None] * acc))
+        dpen_ds = 6.0 * ev**2 * np.sum(vel * acc, axis=1) + 6.0 * ea**2 * np.sum(acc * jrk, axis=1)
+        f[2][i] = (1.0 / kappa) * float(w @ pen) + (t / kappa) * float(w @ (dpen_ds * frac))
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_batched_terms_equal_piecewise_loop(scene4_world, rng, m):
+    # batching over pieces reorders no floating-point operation: every term
+    # equals the per-piece loop bitwise, where the penalties are active or not
+    cfg = PenaltyConfig()
+    active = {"o": 0, "f": 0}
+    for _ in range(30):
+        init = BoundaryState([2.0, 0.3] + rng.normal(scale=0.3, size=2), rng.normal(size=2))
+        target = BoundaryState([8.0, -0.5] + rng.normal(scale=0.3, size=2), rng.normal(size=2))
+        line = np.linspace(init.position, target.position, m + 1)[1:-1].T
+        q = line + rng.normal(scale=1.0, size=line.shape)
+        traj = solve_coeffs(init, target, TrajParams(q, rng.uniform(0.6, 3.5, size=m)))
+        ref = _loop_terms(traj, scene4_world, cfg)
+        for key, got in (("e", control_effort(traj)), ("o", obstacle_cost(traj, scene4_world, cfg)),
+                         ("f", feasibility_cost(traj, cfg))):
+            if key in active:
+                active[key] += ref[key][0] > 0.0
+            assert got[0] == ref[key][0]
+            assert np.array_equal(got[1], np.array(ref[key][1]))
+            assert np.array_equal(got[2], ref[key][2])
+    assert min(active.values()) >= 10

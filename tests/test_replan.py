@@ -174,6 +174,15 @@ def test_report_json_excludes_wall_times(tmp_path, empty_world, default_setup):
     assert len(lines) == len(rep.samples) + 1
 
 
+def test_episode_contains_planner_error(scene4_world, default_setup, plan_fails_from_second_call):
+    rep = run_episode(scene4_world, InitStrategy("baseline"), default_setup, seed=5)
+    assert not rep.success
+    assert rep.failure_reason == "singular_system"
+    assert rep.replan_count == 1  # the failing second replan records nothing
+    assert rep.flight_time == pytest.approx(default_setup.replan.replan_interval)
+    assert rep.to_json_dict()["failure_reason"] == "singular_system"
+
+
 def test_derive_seed_properties():
     seeds = {derive_seed(42, i) for i in range(1000)}
     assert len(seeds) == 1000  # no collisions across episode indices
