@@ -6,7 +6,7 @@ baseline, A* geometric, tri-seed expert, learned predictor) and a
 deterministic latency-tolerant replanning simulator with a benchmark CLI.
 """
 
-from .config import RunConfig
+from .config import ReplanConfig, RunConfig
 from .initializers import InitStrategy, astar_path, baseline_init, expert_plan, geo_init, neural_init
 from .minco import BoundaryState, TrajParams, Trajectory, propagate_gradients, solve_coeffs
 from .neural import MlpModel, NormConstants, TrainConfig, adam_step, collect_dataset, train
@@ -26,12 +26,10 @@ from .replan import (
     CommittedTrajectory,
     EpisodeReport,
     EpisodeSetup,
-    ReplanConfig,
     run_episode,
     select_local_goal,
-    splice,
 )
 from .solver import PlanResult, SolverConfig, minimize, plan
-from .world import GridWorld, SceneSpec, build_distance_field, generate_scene
+from .world import GridWorld, SceneSpec, generate_scene
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import concurrent.futures
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .config import RunConfig
 from .errors import EmptyDataset, NeotrajError, PackingFailure
 from .initializers import InitStrategy
 from .minco import BoundaryState
-from .objective import ObjectiveSetup, time_to_tau, total_objective
-from .replan import EpisodeSetup, derive_seed, run_episode, select_local_goal
+from .objective import ObjectiveSetup, total_objective
+from .replan import derive_seed, run_episode, select_local_goal
 from .world import FIXED_PRESETS, RANDOM_PRESETS, GridWorld, SceneSpec, generate_scene
 
 AGGREGATE_COLUMNS = ["scene", "init", "success_rate", "avg_cost", "avg_plan_time", "avg_iterations"]
@@ -93,11 +94,8 @@ def cmd_scene(args) -> int:
 
 def cmd_collect(args) -> int:
     rc = _load_config(args)
-    setup = EpisodeSetup.from_run_config(rc)
     scenes = [_scene_token(t) for t in args.scenes]
-    records, summary = neural.collect_dataset(
-        scenes, args.episodes, args.seed, setup, rc.resolution
-    )
+    records, summary = neural.collect_dataset(scenes, args.episodes, args.seed, rc)
     neural.save_dataset(records, args.out)
     with open(str(args.out) + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -114,8 +112,7 @@ def cmd_train(args) -> int:
     try:
         records = neural.load_dataset(args.data)
         cfg = neural.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-        setup = EpisodeSetup.from_run_config(rc)
-        model = neural.MlpModel(norm=setup.norm_constants(), seed=args.seed)
+        model = neural.MlpModel(norm=rc.norm_constants(), seed=args.seed)
         model, curve = neural.train(records, cfg, model)
     except EmptyDataset as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -132,9 +129,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _build_strategy(init: str, model_path, for_usage_errors=True) -> InitStrategy:
-    if init == "neo":
-        init = "neural"
+def _init_kind(init: str) -> str:
+    """The strategy kind behind a CLI init name (`neo` is the neural initializer)."""
+    return "neural" if init in ("neo", "neural") else init
+
+
+def _build_strategy(init: str, model_path) -> InitStrategy:
+    init = _init_kind(init)
     if init == "neural":
         if not model_path:
             raise ValueError("--init neo requires --model")
@@ -144,7 +145,6 @@ def _build_strategy(init: str, model_path, for_usage_errors=True) -> InitStrateg
 
 def cmd_fly(args) -> int:
     rc = _load_config(args)
-    setup = EpisodeSetup.from_run_config(rc)
     try:
         strategy = _build_strategy(args.init, args.model)
     except ValueError as exc:
@@ -153,7 +153,7 @@ def cmd_fly(args) -> int:
     token = _scene_token(args.scene)
     spec = _materialize_scene(token, args.seed)
     world = GridWorld(spec, rc.resolution)
-    report = run_episode(world, strategy, setup, seed=args.seed)
+    report = run_episode(world, strategy, rc, seed=args.seed)
     if args.report:
         report.save_json(args.report)
     if args.log:
@@ -173,8 +173,7 @@ _WORKER_MODELS: dict = {}
 
 def _bench_episode(task: dict) -> dict:
     """Worker entry: runs one episode described by a picklable task dict."""
-    rc = RunConfig.from_dict(task["config"])
-    setup = EpisodeSetup.from_run_config(rc)
+    rc = task["config"]
     if task["scene_file"] is not None:
         spec = SceneSpec.from_dict(task["scene_file"])
     else:
@@ -187,7 +186,7 @@ def _bench_episode(task: dict) -> dict:
         strategy = InitStrategy("neural", _WORKER_MODELS[path])
     else:
         strategy = InitStrategy(task["init"])
-    report = run_episode(world, strategy, setup, seed=task["episode_seed"])
+    report = run_episode(world, strategy, rc, seed=task["episode_seed"])
     out = report.to_json_dict()
     out["scene"] = task["scene_label"]
     out["run"] = task["run"]
@@ -219,7 +218,6 @@ def _make_tasks(scenes, inits, runs, seed, rc, model_path) -> list[dict]:
     for si, token in enumerate(scenes):
         fixed = isinstance(token, SceneSpec) or token in FIXED_PRESETS
         for init in inits:
-            kind = "neural" if init in ("neo", "neural") else init
             for run in range(runs):
                 # the world depends only on (scene, run) so inits see paired worlds
                 world_seed = derive_seed(seed, si * 1000003 + run)
@@ -231,10 +229,10 @@ def _make_tasks(scenes, inits, runs, seed, rc, model_path) -> list[dict]:
                         "preset": None if isinstance(token, SceneSpec) else token,
                         "world_seed": 0 if fixed else world_seed,
                         "episode_seed": world_seed,
-                        "init": kind,
+                        "init": init,
                         "model_path": model_path,
                         "run": run,
-                        "config": rc.to_dict(),
+                        "config": rc,
                     }
                 )
                 index += 1
@@ -246,8 +244,7 @@ def _aggregate(results: list[dict], scenes, inits) -> list[list]:
     for token in scenes:
         label = _scene_label(token)
         for init in inits:
-            kind = "neural" if init in ("neo", "neural") else init
-            group = [r for r in results if r["scene"] == label and r["strategy"] == kind]
+            group = [r for r in results if r["scene"] == label and r["strategy"] == init]
             if not group:
                 continue
             succ = [r for r in group if r["success"]]
@@ -256,7 +253,7 @@ def _aggregate(results: list[dict], scenes, inits) -> list[list]:
             rows.append(
                 [
                     label,
-                    kind,
+                    init,
                     len(succ) / len(group),
                     float(np.mean([r["trajectory_cost"] for r in succ])) if succ else float("nan"),
                     float(np.mean(lat)) if lat else 0.0,
@@ -309,8 +306,8 @@ def _svg_bars(path, title, labels, series: dict) -> None:
 
 def cmd_bench(args) -> int:
     rc = _load_config(args)
-    inits = [s.strip() for s in args.inits.split(",") if s.strip()]
-    if any(i in ("neo", "neural") for i in inits) and not args.model:
+    inits = [_init_kind(s.strip()) for s in args.inits.split(",") if s.strip()]
+    if "neural" in inits and not args.model:
         print("error: --inits with neo requires --model", file=sys.stderr)
         return 1
     scenes = [_scene_token(t) for t in args.scenes]
@@ -324,12 +321,11 @@ def cmd_bench(args) -> int:
     _write_csv(os.path.join(args.out_dir, "aggregate.csv"), AGGREGATE_COLUMNS, rows)
     if args.svg:
         labels = [_scene_label(t) for t in scenes]
-        kinds = ["neural" if i in ("neo", "neural") else i for i in inits]
         for col, name in ((2, "success_rate"), (5, "avg_iterations")):
             series = {
                 k: [next((r[col] for r in rows if r[0] == lab and r[1] == k), float("nan"))
                     for lab in labels]
-                for k in kinds
+                for k in inits
             }
             _svg_bars(os.path.join(args.out_dir, f"bench_{name}.svg"), name, labels, series)
     for row in rows:
@@ -349,7 +345,7 @@ def cmd_latency(args) -> int:
         label = _scene_label(token)
         per_foresee = {}
         for tf_value in foresee_values:
-            rc_v = RunConfig.from_dict({**rc.to_dict(), "latency": args.latency, "foresee": tf_value})
+            rc_v = replace(rc, replan=replace(rc.replan, latency=args.latency, foresee=tf_value))
             tasks = _make_tasks([token], [args.init], args.runs, args.seed, rc_v, None)
             results = _run_tasks(tasks)
             per_foresee[tf_value] = (
@@ -365,7 +361,7 @@ def cmd_latency(args) -> int:
     return 0
 
 
-def _gradcheck_config(rng, rc: RunConfig, setup: EpisodeSetup, worlds):
+def _gradcheck_config(rng, rc: RunConfig, worlds):
     """One random, kink-free (Q, tau, scene) configuration for the FD check."""
     world = worlds[rng.integers(len(worlds))]
     for _ in range(60):
@@ -374,14 +370,14 @@ def _gradcheck_config(rng, rc: RunConfig, setup: EpisodeSetup, worlds):
             continue
         goal = np.asarray(world.spec.goal, dtype=float)
         s_init = BoundaryState(p0, rng.uniform(-0.8, 0.8, size=2))
-        s_target = select_local_goal(world, p0, goal, setup.replan, setup.penalty.d_safe)
+        s_target = select_local_goal(world, p0, goal, rc)
         direction = s_target.position - p0
         fr = np.arange(1, rc.m_pieces) / rc.m_pieces
         q = p0[:, None] + direction[:, None] * fr[None, :]
         q += rng.normal(scale=0.6, size=q.shape)
         tau = rng.normal(scale=0.7, size=rc.m_pieces)
         ob = ObjectiveSetup(
-            s_init, s_target, world, setup.weights, setup.penalty, setup.transform, rc.s_order
+            s_init, s_target, world, rc.weights, rc.penalty, rc.transform, rc.s_order
         )
         if _near_field_kink(q, tau, ob, world):
             continue
@@ -417,7 +413,6 @@ def _near_field_kink(q, tau, ob, world) -> bool:
 
 def cmd_gradcheck(args) -> int:
     rc = _load_config(args)
-    setup = EpisodeSetup.from_run_config(rc)
     if args.trials == 0:
         print("warning: --trials 0, vacuous pass")
         return 0
@@ -426,7 +421,7 @@ def cmd_gradcheck(args) -> int:
               for p in (4, 6, 9)]
     worst = 0.0
     for trial in range(args.trials):
-        q, tau, ob = _gradcheck_config(rng, rc, setup, worlds)
+        q, tau, ob = _gradcheck_config(rng, rc, worlds)
         h0, dq, dtau = total_objective(q, tau, ob)
         x = np.concatenate([q.ravel(), tau])
         grad = np.concatenate([dq.ravel(), dtau])

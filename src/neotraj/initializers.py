@@ -16,7 +16,7 @@ import numpy as np
 from . import neural as neural_mod
 from .errors import NoPath
 from .minco import BoundaryState, TrajParams
-from .objective import CostWeights, PenaltyConfig, TimeTransform, tau_to_time
+from .objective import CostWeights, PenaltyConfig, TimeTransform
 from .solver import DURATION_MARGIN, PlanResult, SolverConfig, plan
 from .world import GridWorld
 
@@ -212,6 +212,7 @@ def expert_plan(
     solver_cfg: SolverConfig | None = None,
     amplitude: float = 1.5,
     cruise_fraction: float = 0.7,
+    s_order: int = 3,
 ) -> tuple[PlanResult, int, list[float]]:
     """Optimize all three seeds and keep the cheapest result.
 
@@ -224,7 +225,7 @@ def expert_plan(
         init, target, m, transform, penalty.v_max, cruise_fraction, amplitude
     )
     results = [
-        plan(init, target, guess, world, weights, penalty, transform, solver_cfg)
+        plan(init, target, guess, world, weights, penalty, transform, solver_cfg, s_order)
         for guess in guesses
     ]
     costs = [r.cost for r in results]

@@ -15,7 +15,6 @@ normalization constants baked in, so inference needs no side channel.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, field
 
@@ -427,7 +426,7 @@ def load_dataset(path) -> list[dict]:
     return records
 
 
-def collect_dataset(scenes, episodes: int, seed: int, setup, resolution: float = 0.1):
+def collect_dataset(scenes, episodes: int, seed: int, setup):
     """Run expert episodes and harvest (observation, expert output) pairs.
 
     `scenes` is a list of preset ids (fresh world per episode, seeded from
@@ -450,7 +449,7 @@ def collect_dataset(scenes, episodes: int, seed: int, setup, resolution: float =
         else:
             spec = scene
             scene_id = spec.name or f"fixed-ep{ep}"
-        world = GridWorld(spec, resolution)
+        world = GridWorld(spec, setup.resolution)
         episode_records: list[dict] = []
 
         def sink(obs, target, t):

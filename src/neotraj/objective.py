@@ -39,6 +39,10 @@ class CostWeights:
     obstacle: float = 10000.0
     feasibility: float = 1.0
 
+    def __post_init__(self):
+        if min(self.effort, self.time, self.obstacle, self.feasibility) < 0:
+            raise ValueError("weights must be four nonnegative numbers")
+
 
 @dataclass
 class PenaltyConfig:

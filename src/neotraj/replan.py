@@ -25,8 +25,7 @@ from . import initializers, neural
 from .config import RunConfig
 from .errors import ActivationInPast, NeotrajError, NoFreeCell
 from .minco import BoundaryState, Trajectory
-from .objective import CostWeights, PenaltyConfig, TimeTransform
-from .solver import SolverConfig, plan
+from .solver import plan
 from .world import GridWorld
 
 REPORT_FORMAT = "neotraj-report-1"
@@ -43,82 +42,8 @@ def derive_seed(master: int, index: int) -> int:
     return (int(master) ^ folded) & 0xFFFFFFFF
 
 
-@dataclass
-class ReplanConfig:
-    """Timing, tracking and termination parameters of the online loop."""
-
-    replan_interval: float = 1.0
-    foresee: float = 1.0
-    latency: float = 0.0
-    use_wall_time: bool = False
-    lookahead: float = 6.0
-    cruise_speed: float = 1.0
-    goal_tolerance: float = 0.5
-    timeout: float = 90.0
-    drone_radius: float = 0.3
-    kp: float = 8.0
-    kv: float = 5.0
-    tick_rate: float = 60.0
-
-    def __post_init__(self):
-        if self.replan_interval <= 0 or self.foresee < 0:
-            raise ValueError("need replan_interval > 0 and foresee >= 0")
-
-
-@dataclass
-class EpisodeSetup:
-    """Everything an episode needs besides the world and the strategy."""
-
-    weights: CostWeights = field(default_factory=CostWeights)
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    transform: TimeTransform = field(default_factory=TimeTransform)
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    replan: ReplanConfig = field(default_factory=ReplanConfig)
-    m_pieces: int = 3
-    s_order: int = 3
-    cruise_fraction: float = 0.7
-    deform_amplitude: float = 1.5
-    n_rays: int = 64
-    fov_deg: float = 87.0
-    max_range: float = 5.0
-
-    @classmethod
-    def from_run_config(cls, rc: RunConfig) -> "EpisodeSetup":
-        we, wt, wo, wd = rc.weights
-        return cls(
-            weights=CostWeights(we, wt, wo, wd),
-            penalty=PenaltyConfig(rc.kappa, rc.d_safe, rc.v_max, rc.a_max),
-            transform=TimeTransform(rc.t_min, rc.t_max),
-            solver=SolverConfig(
-                rc.history, rc.max_iterations, rc.g_tol, rc.f_tol, rc.c1, rc.c2, rc.max_ls_steps
-            ),
-            replan=ReplanConfig(
-                replan_interval=rc.replan_interval,
-                foresee=rc.foresee,
-                latency=rc.latency,
-                use_wall_time=rc.use_wall_time,
-                lookahead=rc.lookahead,
-                cruise_speed=rc.v_max,
-                goal_tolerance=rc.goal_tolerance,
-                timeout=rc.timeout,
-                drone_radius=rc.drone_radius,
-                kp=rc.kp,
-                kv=rc.kv,
-                tick_rate=rc.tick_rate,
-            ),
-            m_pieces=rc.m_pieces,
-            s_order=rc.s_order,
-            cruise_fraction=rc.cruise_fraction,
-            deform_amplitude=rc.deform_amplitude,
-            n_rays=rc.n_rays,
-            fov_deg=rc.fov_deg,
-            max_range=rc.max_range,
-        )
-
-    def norm_constants(self) -> neural.NormConstants:
-        return neural.NormConstants(
-            d_look=self.replan.lookahead, v_max=self.penalty.v_max, max_range=self.max_range
-        )
+# perfbench reads its episode setup through this name
+EpisodeSetup = RunConfig
 
 
 class CommittedTrajectory:
@@ -155,39 +80,33 @@ class CommittedTrajectory:
         return traj.eval(s, 0), traj.eval(s, 1), traj.eval(s, 2)
 
 
-def splice(
-    committed: CommittedTrajectory, new_traj: Trajectory, t_x: float, foresee: float
-) -> CommittedTrajectory:
-    """Append a segment activating at t_x + foresee; earlier queries unchanged."""
-    committed.add(t_x + foresee, new_traj)
-    return committed
-
-
 def select_local_goal(
-    world: GridWorld, position, global_goal, cfg: ReplanConfig, d_safe: float
+    world: GridWorld, position, global_goal, setup: RunConfig
 ) -> BoundaryState:
-    """Collision-free local target one lookahead distance ahead, cruise velocity.
+    """Collision-free local target one lookahead distance ahead, moving at v_max.
 
     The candidate sits at min(lookahead, distance-to-goal) along the
     goal direction; if its clearance is below d_safe, the nearest grid
     cell (deterministic scan) with enough clearance replaces it.
     """
+    lookahead = setup.replan.lookahead
+    v_max, d_safe = setup.penalty.v_max, setup.penalty.d_safe
     position = np.asarray(position, dtype=float)
     goal = np.asarray(global_goal, dtype=float)
     to_goal = goal - position
     dist = float(np.linalg.norm(to_goal))
-    if dist <= cfg.lookahead:
+    if dist <= lookahead:
         candidate = goal.copy()
         velocity = np.zeros(2)
     else:
         u = to_goal / dist
-        candidate = position + cfg.lookahead * u
-        velocity = cfg.cruise_speed * u
+        candidate = position + lookahead * u
+        velocity = v_max * u
     if world.distance_at(candidate) < d_safe:
         candidate = _nearest_clear_cell(world, candidate, d_safe)
         direction = goal - candidate
         n = float(np.linalg.norm(direction))
-        velocity = cfg.cruise_speed * direction / n if n > 1e-9 else np.zeros(2)
+        velocity = v_max * direction / n if n > 1e-9 else np.zeros(2)
     return BoundaryState(candidate, velocity)
 
 
@@ -296,7 +215,7 @@ def _heading_of(velocity, position, goal) -> float:
 def run_episode(
     world: GridWorld,
     strategy: initializers.InitStrategy,
-    setup: EpisodeSetup,
+    setup: RunConfig,
     seed: int = 0,
     sample_sink=None,
 ) -> EpisodeReport:
@@ -327,7 +246,7 @@ def run_episode(
         """Plan at t_x and queue the result at its activation time."""
         p0, v0, a0 = committed.query(t_x + rc.foresee)
         s_init = BoundaryState(p0, v0, a0)
-        s_target = select_local_goal(world, p0, goal, rc, setup.penalty.d_safe)
+        s_target = select_local_goal(world, p0, goal, setup)
         obs = None
         heading = _heading_of(vel, pos, goal)
         if strategy.kind == "neural" or sample_sink is not None:
@@ -338,7 +257,7 @@ def run_episode(
             result, _, _ = initializers.expert_plan(
                 world, s_init, s_target, setup.m_pieces,
                 setup.weights, setup.penalty, setup.transform, setup.solver,
-                setup.deform_amplitude, setup.cruise_fraction,
+                setup.deform_amplitude, setup.cruise_fraction, setup.s_order,
             )
         else:
             if strategy.kind == "baseline":
@@ -384,14 +303,14 @@ def run_episode(
         t = tick * dt
         while pending and pending[0][0] + pending[0][1] <= t + eps:
             t_x, eff_foresee, traj = pending.pop(0)
-            splice(committed, traj, t_x, eff_foresee)
+            committed.add(t_x + eff_foresee, traj)
         if tick % ticks_per_replan == 0:
             try:
                 do_replan(t)
                 pending.sort(key=lambda item: item[0] + item[1])
                 while pending and pending[0][0] + pending[0][1] <= t + eps:
                     t_x, eff_foresee, traj = pending.pop(0)
-                    splice(committed, traj, t_x, eff_foresee)
+                    committed.add(t_x + eff_foresee, traj)
             except NeotrajError as exc:  # a failed replan ends this episode only
                 report.failure_reason = _failure_reason(exc)
                 report.flight_time = t

@@ -291,7 +291,3 @@ class GridWorld:
                 return min(t, max_range)
         return max_range
 
-
-def build_distance_field(spec: SceneSpec, resolution: float = 0.1) -> GridWorld:
-    """Rasterize a scene and compute its distance field."""
-    return GridWorld(spec, resolution)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
-from neotraj.replan import EpisodeSetup
+from neotraj.config import RunConfig
 from neotraj.world import GridWorld, SceneSpec, generate_scene
 
 
 @pytest.fixture(scope="session")
-def default_setup() -> EpisodeSetup:
-    return EpisodeSetup()
+def default_setup() -> RunConfig:
+    return RunConfig()
 
 
 @pytest.fixture(scope="session")

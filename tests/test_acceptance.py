@@ -17,7 +17,7 @@ from neotraj.cli import main as cli_main
 from neotraj.initializers import InitStrategy, expert_plan
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
 from neotraj.objective import control_effort
-from neotraj.replan import EpisodeSetup, run_episode
+from neotraj.replan import run_episode
 from neotraj.config import RunConfig
 from neotraj.world import GridWorld, SceneSpec, generate_scene
 
@@ -212,11 +212,10 @@ def test_criterion_6_latency_tolerance(acceptance_dir):
         gaps.append(with_f / without)
 
     # commanded-position continuity whenever latency <= foreseeing horizon
-    rc = RunConfig(latency=0.8, foresee=1.0)
-    setup = EpisodeSetup.from_run_config(rc)
+    rc = RunConfig.from_dict({"latency": 0.8, "foresee": 1.0})
     world = GridWorld(generate_scene(preset=1, seed=0))
-    rep = run_episode(world, InitStrategy("geo"), setup, seed=0)
-    bound = rc.v_max * (1.0 / 60.0) * 2.0 + 1e-6
+    rep = run_episode(world, InitStrategy("geo"), rc, seed=0)
+    bound = rc.penalty.v_max * (1.0 / 60.0) * 2.0 + 1e-6
     assert rep.max_command_jump < bound
     print(f"ACCEPTANCE 6 (latency tolerance): PASS - RMSE ratios "
           f"{[round(g, 3) for g in gaps]}, max command jump "

@@ -77,13 +77,77 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["fly", "--scene", "4", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("doc", [
+    {"use_wall_time": "no"},
+    {"m_pieces": "3"},
+    {"m_pieces": True},
+    {"v_max": "1.0"},
+    {"v_max": float("nan")},
+    {"timeout": float("inf")},
+    {"weights": 5},
+    {"weights": [1.0, 1.0, 1.0]},
+    {"weights": [1.0, -1.0, 1.0, 1.0]},
+    {"weights": [1.0, 1.0, float("inf"), 1.0]},
+    {"tick_rate": 0},
+    {"s_order": 3.5},
+    {"s_order": 4},
+    {"s_order": 0},
+    {"dims": 3},
+    [1, 2],
+])
+def test_bad_config_value_rejected(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(["fly", "--scene", "4", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# Every key of the flat config document, each with a non-default value
+# (dims can only be 2: the planner is planar).
+FLAT_CONFIG = {
+    "m_pieces": 4, "dims": 2, "s_order": 2,
+    "v_max": 1.5, "a_max": 2.5, "t_min": 0.4, "t_max": 4.0,
+    "weights": [2.0, 3.0, 5000.0, 4.0], "kappa": 12, "d_safe": 0.35,
+    "history": 6, "max_iterations": 150, "g_tol": 1e-6, "f_tol": 1e-9,
+    "c1": 1e-3, "c2": 0.8, "max_ls_steps": 30,
+    "resolution": 0.05,
+    "replan_interval": 0.5, "foresee": 0.8, "latency": 0.2, "use_wall_time": True,
+    "lookahead": 5.0, "goal_tolerance": 0.4, "timeout": 60.0, "drone_radius": 0.25,
+    "kp": 7.0, "kv": 4.0, "tick_rate": 50.0,
+    "n_rays": 32, "fov_deg": 90.0, "max_range": 4.0,
+    "cruise_fraction": 0.6, "deform_amplitude": 1.2,
+}
+
+
 def test_config_roundtrip(tmp_path):
-    from neotraj.config import RunConfig
+    from neotraj.config import ReplanConfig, RunConfig
+    from neotraj.objective import CostWeights, PenaltyConfig, TimeTransform
+    from neotraj.replan import EpisodeSetup
+    from neotraj.solver import SolverConfig
 
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(RunConfig().to_dict()))
     loaded = RunConfig.load(cfg)
     assert loaded == RunConfig()
+    assert RunConfig().to_dict().keys() == FLAT_CONFIG.keys()
+
+    rc = RunConfig.from_dict(FLAT_CONFIG)
+    assert rc.weights == CostWeights(effort=2.0, time=3.0, obstacle=5000.0, feasibility=4.0)
+    assert rc.penalty == PenaltyConfig(kappa=12, d_safe=0.35, v_max=1.5, a_max=2.5)
+    assert rc.transform == TimeTransform(t_min=0.4, t_max=4.0)
+    assert rc.solver == SolverConfig(
+        history=6, max_iterations=150, g_tol=1e-6, f_tol=1e-9, c1=1e-3, c2=0.8, max_ls_steps=30
+    )
+    assert rc.replan == ReplanConfig(
+        replan_interval=0.5, foresee=0.8, latency=0.2, use_wall_time=True, lookahead=5.0,
+        goal_tolerance=0.4, timeout=60.0, drone_radius=0.25, kp=7.0, kv=4.0, tick_rate=50.0,
+    )
+    assert (rc.m_pieces, rc.s_order, rc.resolution, rc.cruise_fraction, rc.deform_amplitude,
+            rc.n_rays, rc.fov_deg, rc.max_range) == (4, 2, 0.05, 0.6, 1.2, 32, 90.0, 4.0)
+    assert rc.to_dict() == FLAT_CONFIG
+
+    assert EpisodeSetup() == RunConfig()
+    assert EpisodeSetup.from_run_config(rc) is rc
 
 
 @pytest.mark.slow

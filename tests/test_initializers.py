@@ -16,6 +16,7 @@ from neotraj.initializers import (
 from neotraj.minco import BoundaryState
 from neotraj.neural import MlpModel, NormConstants
 from neotraj.objective import ObjectiveSetup, PenaltyConfig, TimeTransform, time_to_tau, total_objective
+from neotraj.solver import plan
 from neotraj.world import GridWorld, SceneSpec
 
 TF = TimeTransform()
@@ -157,6 +158,15 @@ def test_expert_symmetric_obstacle(empty_world):
     assert costs[1] < costs[0]
     assert chosen == 1
     assert result.cost <= min(costs) + 1e-3
+
+
+def test_expert_plans_at_the_given_s_order(empty_world):
+    init = BoundaryState([0, 0], [0, 0])
+    target = BoundaryState([6, 0], [0, 0])
+    baseline = plan(init, target, baseline_init(init, target, 3, TF), empty_world, s_order=2)
+    expert, _, _ = expert_plan(empty_world, init, target, 3, None, None, None, None, 1.5, 0.7, 2)
+    assert baseline.trajectory.coefficients.shape == (3, 4, 2)  # 2S coefficients per piece
+    assert expert.trajectory.coefficients.shape == (3, 4, 2)
 
 
 def _identity_model():

@@ -1,0 +1,70 @@
+"""The benchmark harness under perfbench/ still runs against this package.
+
+perfbench is frozen: it pins names, attributes and positional signatures of
+the package.  These tests build its plan-set workload, make one decision per
+initializer, harvest one short episode and install its trace hooks, so a
+change that would break `python3 perfbench/run.py` fails here first.
+"""
+
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """The harness modules (common, harvest, tracing, workloads)."""
+    environ = dict(os.environ)  # importing perfbench pins BLAS threads through the environment
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import common
+        import harvest
+        import tracing
+        import workloads
+    finally:
+        sys.path[:] = [p for p in sys.path if p != str(PERFBENCH)]  # harvest adds it too
+        for key in set(os.environ) - set(environ):
+            del os.environ[key]
+        os.environ.update(environ)
+    return common, harvest, tracing, workloads
+
+
+def test_plan_set_decisions(perfbench):
+    _, _, _, workloads = perfbench
+    plan_set = workloads.PlanSet()
+    plan_set.setup()
+    prob = plan_set.problems[0]
+    for init in workloads.INITS:  # baseline, geo, neo, expert
+        result = plan_set.decide(init, prob)
+        assert np.isfinite(result.cost), init
+        assert np.all(np.isfinite(result.trajectory.coefficients)), init
+        assert workloads._plan_problems(
+            result, prob["init"], prob["target"], plan_set.es.transform
+        ) == [], init
+
+
+def test_harvest_episode(perfbench):
+    from neotraj import replan
+    from neotraj.world import GridWorld, SceneSpec
+
+    common, harvest, _, _ = perfbench
+    heading_of, plan = replan._heading_of, replan.plan
+    rc, setup = common.episode_setup()
+    world = GridWorld(SceneSpec(start=(0.0, 0.0), goal=(4.0, 0.0)), rc.resolution)
+    problems = harvest.harvest_episode(world, setup, 0)
+    assert problems
+    assert all(set(p) == {"init", "target", "pose"} for p in problems)
+    assert (replan._heading_of, replan.plan) == (heading_of, plan)  # patches undone
+
+
+def test_trace_hooks_resolve(perfbench):
+    _, _, tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    tracer.install()
+    tracer.uninstall()
+    assert tracer.missing == set()

@@ -11,12 +11,9 @@ from neotraj.initializers import InitStrategy
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
 from neotraj.replan import (
     CommittedTrajectory,
-    EpisodeSetup,
-    ReplanConfig,
     derive_seed,
     run_episode,
     select_local_goal,
-    splice,
 )
 from neotraj.world import GridWorld, SceneSpec, generate_scene
 
@@ -37,11 +34,11 @@ def test_committed_hover_before_first_activation():
 def test_splice_prefix_preserved_and_new_segment_active():
     c = CommittedTrajectory([0.0, 0.0])
     t1 = straight_traj([0, 0], [2, 0], 4.0)
-    splice(c, t1, 0.0, 0.0)
+    c.add(0.0, t1)
     eps = 1e-6
     before = c.query(3.0 - eps)[0].copy()
     t2 = straight_traj(c.query(3.0)[0], [4, 0], 4.0)
-    splice(c, t2, 2.0, 1.0)
+    c.add(2.0 + 1.0, t2)
     assert np.allclose(c.query(3.0 - eps)[0], before)  # prefix unchanged
     after = c.query(3.0 + eps)[0]
     assert np.allclose(after, t2.eval(eps), atol=1e-9)
@@ -50,7 +47,7 @@ def test_splice_prefix_preserved_and_new_segment_active():
 def test_splice_continuity_when_planned_from_foreseen_state():
     c = CommittedTrajectory([0.0, 0.0])
     t1 = straight_traj([0, 0], [2, 0], 4.0)
-    splice(c, t1, 0.0, 0.0)
+    c.add(0.0, t1)
     t_x, foresee = 1.5, 1.0
     p, v, a = c.query(t_x + foresee)
     new = solve_coeffs(
@@ -58,36 +55,33 @@ def test_splice_continuity_when_planned_from_foreseen_state():
         BoundaryState([4.0, 0.0], [0.0, 0.0]),
         TrajParams(((p + [4.0, 0.0]) / 2)[:, None], [2.0, 2.0]),
     )
-    splice(c, new, t_x, foresee)
+    c.add(t_x + foresee, new)
     eps = 1e-7
     assert np.linalg.norm(c.query(t_x + foresee + eps)[0] - c.query(t_x + foresee - eps)[0]) < 1e-6
 
 
 def test_splice_activation_in_past():
     c = CommittedTrajectory([0.0, 0.0])
-    splice(c, straight_traj([0, 0], [2, 0], 4.0), 2.0, 1.0)
+    c.add(2.0 + 1.0, straight_traj([0, 0], [2, 0], 4.0))
     with pytest.raises(ActivationInPast):
-        splice(c, straight_traj([0, 0], [1, 0], 2.0), 1.0, 0.5)
+        c.add(1.0 + 0.5, straight_traj([0, 0], [1, 0], 2.0))
 
 
 def test_select_local_goal_unobstructed(empty_world):
-    rc = ReplanConfig()
-    s = select_local_goal(empty_world, [0.0, 0.0], [30.0, 0.0], rc, 0.4)
+    s = select_local_goal(empty_world, [0.0, 0.0], [30.0, 0.0], RunConfig())
     assert np.allclose(s.position, [6.0, 0.0], atol=1e-9)
     assert np.allclose(s.velocity, [1.0, 0.0])
 
 
 def test_select_local_goal_terminal(empty_world):
-    rc = ReplanConfig()
-    s = select_local_goal(empty_world, [29.6, 0.0], [30.0, 0.0], rc, 0.4)
+    s = select_local_goal(empty_world, [29.6, 0.0], [30.0, 0.0], RunConfig())
     assert np.allclose(s.position, [30.0, 0.0])
     assert np.allclose(s.velocity, 0.0)
 
 
 def test_select_local_goal_moves_off_obstacle():
     world = GridWorld(SceneSpec(obstacles=[(6.0, 0.0, 1.0)]))
-    rc = ReplanConfig()
-    s = select_local_goal(world, [0.0, 0.0], [30.0, 0.0], rc, 0.4)
+    s = select_local_goal(world, [0.0, 0.0], [30.0, 0.0], RunConfig())
     assert world.distance_at(s.position) >= 0.4
     assert np.linalg.norm(s.position - np.array([6.0, 0.0])) <= 2.0
 
@@ -101,9 +95,8 @@ def test_select_local_goal_no_free_cell():
     ]
     world = GridWorld(SceneSpec(obstacles=lattice))
     assert float(world.field.max()) < 0.4
-    rc = ReplanConfig()
     with pytest.raises(NoFreeCell):
-        select_local_goal(world, [0.0, -0.6], [30.0, -0.6], rc, 0.4)
+        select_local_goal(world, [0.0, -0.6], [30.0, -0.6], RunConfig())
 
 
 def test_episode_empty_map_success(empty_world, default_setup):
@@ -125,17 +118,17 @@ def test_episode_deterministic(scene4_world, default_setup):
 
 def test_episode_commanded_continuity_with_latency(default_setup):
     world = GridWorld(generate_scene(preset=6, seed=9))
-    rc = RunConfig(latency=0.8, foresee=1.0)
-    rep = run_episode(world, InitStrategy("geo"), EpisodeSetup.from_run_config(rc), seed=0)
-    bound = rc.v_max * (1.0 / 60.0) * 2.0 + 1e-6
+    rc = RunConfig.from_dict({"latency": 0.8, "foresee": 1.0})
+    rep = run_episode(world, InitStrategy("geo"), rc, seed=0)
+    bound = rc.penalty.v_max * (1.0 / 60.0) * 2.0 + 1e-6
     assert rep.max_command_jump < bound
     assert rep.late_plans == 0
 
 
 def test_episode_zero_foresight_jumps(default_setup):
     world = GridWorld(generate_scene(preset=6, seed=9))
-    rc = RunConfig(latency=0.8, foresee=0.0)
-    rep = run_episode(world, InitStrategy("geo"), EpisodeSetup.from_run_config(rc), seed=0)
+    rc = RunConfig.from_dict({"latency": 0.8, "foresee": 0.0})
+    rep = run_episode(world, InitStrategy("geo"), rc, seed=0)
     assert rep.max_command_jump > 0.1
 
 
@@ -143,8 +136,8 @@ def test_episode_latency_rmse_direction():
     world = GridWorld(generate_scene(preset=6, seed=9))
     rms = {}
     for foresee in (0.0, 1.0):
-        rc = RunConfig(latency=0.8, foresee=foresee)
-        rep = run_episode(world, InitStrategy("geo"), EpisodeSetup.from_run_config(rc), seed=0)
+        rc = RunConfig.from_dict({"latency": 0.8, "foresee": foresee})
+        rep = run_episode(world, InitStrategy("geo"), rc, seed=0)
         rms[foresee] = (rep.rmse_position, rep.rmse_velocity)
     assert rms[1.0][0] < rms[0.0][0]
     assert rms[1.0][1] < rms[0.0][1]
@@ -154,7 +147,7 @@ def test_tracker_at_rest_stays_at_rest(empty_world):
     # no motion commanded: episode from start=goal succeeds immediately
     spec = SceneSpec(start=(0.0, 0.0), goal=(0.0, 0.0))
     world = GridWorld(spec)
-    rep = run_episode(world, InitStrategy("baseline"), EpisodeSetup(), seed=0)
+    rep = run_episode(world, InitStrategy("baseline"), RunConfig(), seed=0)
     assert rep.success
     assert rep.flight_time == 0.0
 

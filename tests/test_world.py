@@ -12,7 +12,6 @@ from neotraj.world import (
     DIST_CAP,
     GridWorld,
     SceneSpec,
-    build_distance_field,
     generate_scene,
     load_fixed_layout,
 )
@@ -188,8 +187,3 @@ def test_out_of_bounds_queries():
     assert d[0] == 0.0 and np.all(g[0] == 0.0)
     assert d[1] == DIST_CAP
 
-
-def test_build_distance_field_alias():
-    spec = generate_scene(preset=6, seed=2)
-    world = build_distance_field(spec, 0.1)
-    assert isinstance(world, GridWorld)
