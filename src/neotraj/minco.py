@@ -47,6 +47,16 @@ def _basis_factors(n_coeffs: int, order: int) -> np.ndarray:
     return fac
 
 
+@functools.lru_cache(maxsize=None)
+def _state_basis(n_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Factors and power indices of the basis rows of orders 0, 1 and 2."""
+    fac = np.array([_basis_factors(n_coeffs, order) for order in range(3)])
+    shift = np.maximum(np.arange(n_coeffs) - np.arange(3)[:, None], 0)
+    fac.flags.writeable = False  # shared by every caller through the cache
+    shift.flags.writeable = False
+    return fac, shift
+
+
 def basis(t: float, order: int, n_coeffs: int) -> np.ndarray:
     """Row of the natural basis [1, t, ..., t^N] differentiated `order` times."""
     return basis_matrix(np.array([t]), order, n_coeffs)[0]
@@ -163,6 +173,20 @@ class Trajectory:
         s = min(t - self.start_times[i], self.durations[i])
         n = self.coefficients.shape[1]
         return basis(s, order, n) @ self.coefficients[i]
+
+    def eval_state(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Position, velocity and acceleration at global time t, bitwise eval(t, 0..2).
+
+        The piece is located once and the three basis rows share one power
+        row; each row is still its own (n,) @ (n, D) product, as in eval.
+        """
+        i = self.piece_index(t)
+        s = min(t - self.start_times[i], self.durations[i])
+        c = self.coefficients[i]
+        fac, shift = _state_basis(c.shape[0])
+        # row k holds fac_k[j] * s**(j-k), and 0 for j < k, as basis(s, k, n)
+        rows = fac * (np.array([[s]]) ** np.arange(c.shape[0]))[0][shift]
+        return rows[0] @ c, rows[1] @ c, rows[2] @ c
 
     def eval_piece(self, i: int, s: np.ndarray, order: int = 0) -> np.ndarray:
         """Evaluate piece i at local times s (vectorized), shape (len(s), D)."""

@@ -77,7 +77,7 @@ class CommittedTrajectory:
             return self.hover.copy(), z, z.copy()
         traj = self.segments[k]
         s = min(max(t - self.activations[k], 0.0), traj.total_time)
-        return traj.eval(s, 0), traj.eval(s, 1), traj.eval(s, 2)
+        return traj.eval_state(s)
 
 
 def select_local_goal(

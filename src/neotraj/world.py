@@ -11,6 +11,7 @@ shipped as JSON.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -149,6 +150,12 @@ class GridWorld:
         self.origin = np.array([xmin, ymin])
         self.nx = int(round((xmax - xmin) / resolution))
         self.ny = int(round((ymax - ymin) / resolution))
+        if self.nx < 2 or self.ny < 2:
+            # the bilinear lookup needs two cell centers along each axis
+            raise ValueError(
+                f"bounds {tuple(spec.bounds)} at resolution {resolution} give a "
+                f"{self.nx} x {self.ny} grid; need at least 2 cells along each axis"
+            )
         xs = xmin + (np.arange(self.nx) + 0.5) * resolution
         ys = ymin + (np.arange(self.ny) + 0.5) * resolution
         gx, gy = np.meshgrid(xs, ys)  # occupancy[iy, ix]
@@ -179,8 +186,9 @@ class GridWorld:
 
     def cell_index(self, point) -> tuple[int, int]:
         """(ix, iy) of the cell containing a point (clamped to the grid)."""
-        ix = int(np.clip((point[0] - self.origin[0]) / self.resolution, 0, self.nx - 1))
-        iy = int(np.clip((point[1] - self.origin[1]) / self.resolution, 0, self.ny - 1))
+        ox, oy = self.origin.tolist()
+        ix = int(min(max((float(point[0]) - ox) / self.resolution, 0), self.nx - 1))
+        iy = int(min(max((float(point[1]) - oy) / self.resolution, 0), self.ny - 1))
         return ix, iy
 
     def cell_center(self, ix: int, iy: int) -> np.ndarray:
@@ -195,40 +203,70 @@ class GridWorld:
         if self.field is None:
             raise WorldMissingDistanceField("world has no distance field")
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        inside = self.in_bounds(points)
+        if inside.all():  # the normal case: no mask copy, no scatter
+            d, ddx, ddy = self._bilinear(points)
+            return d, np.stack((ddx, ddy), axis=1)
         k = points.shape[0]
         dist = np.zeros(k)
         grad = np.zeros((k, 2))
-        inside = self.in_bounds(points)
         if not inside.any():
             return dist, grad
-        p = points[inside]
-        # continuous cell-center coordinates
-        gx = (p[:, 0] - self.origin[0]) / self.resolution - 0.5
-        gy = (p[:, 1] - self.origin[1]) / self.resolution - 0.5
-        i0 = np.clip(np.floor(gx).astype(int), 0, self.nx - 2)
-        j0 = np.clip(np.floor(gy).astype(int), 0, self.ny - 2)
-        fx = np.clip(gx - i0, 0.0, 1.0)
-        fy = np.clip(gy - j0, 0.0, 1.0)
-        v00 = self.field[j0, i0]
-        v10 = self.field[j0, i0 + 1]
-        v01 = self.field[j0 + 1, i0]
-        v11 = self.field[j0 + 1, i0 + 1]
-        d = (
-            v00 * (1 - fx) * (1 - fy)
-            + v10 * fx * (1 - fy)
-            + v01 * (1 - fx) * fy
-            + v11 * fx * fy
-        )
-        ddx = ((v10 - v00) * (1 - fy) + (v11 - v01) * fy) / self.resolution
-        ddy = ((v01 - v00) * (1 - fx) + (v11 - v10) * fx) / self.resolution
+        d, ddx, ddy = self._bilinear(points[inside])
         dist[inside] = d
         grad[inside, 0] = ddx
         grad[inside, 1] = ddy
         return dist, grad
 
+    def _bilinear(self, p: np.ndarray):
+        """Interpolated distance and its x, y derivatives at in-bounds points p.
+
+        Both axes go through each elementwise step together; the arithmetic
+        per coordinate is distance_at's, operation for operation.
+        """
+        # continuous cell-center coordinates, the lower corner cell, the fraction
+        g = (p - self.origin) / self.resolution - 0.5
+        ij = np.minimum(np.maximum(np.floor(g).astype(int), 0), (self.nx - 2, self.ny - 2))
+        f = np.minimum(np.maximum(g - ij, 0.0), 1.0)
+        e = 1 - f
+        fx, fy, ex, ey = f[:, 0], f[:, 1], e[:, 0], e[:, 1]
+        # the four corners, gathered by flat index from the C-ordered field
+        flat = self.field.ravel()
+        k00 = ij[:, 1] * self.nx + ij[:, 0]
+        k01 = k00 + self.nx
+        v00 = flat[k00]
+        v10 = flat[k00 + 1]
+        v01 = flat[k01]
+        v11 = flat[k01 + 1]
+        d = v00 * ex * ey + v10 * fx * ey + v01 * ex * fy + v11 * fx * fy
+        ddx = ((v10 - v00) * ey + (v11 - v01) * fy) / self.resolution
+        ddy = ((v01 - v00) * ex + (v11 - v10) * fx) / self.resolution
+        return d, ddx, ddy
+
     def distance_at(self, point) -> float:
-        d, _ = self.query_distance(np.asarray(point, dtype=float)[None, :])
-        return float(d[0])
+        """query_distance of one point, in Python floats: same arithmetic, same order."""
+        if self.field is None:
+            raise WorldMissingDistanceField("world has no distance field")
+        x, y = float(point[0]), float(point[1])
+        xmin, ymin, xmax, ymax = self.bounds
+        if not (xmin <= x <= xmax and ymin <= y <= ymax):
+            return 0.0
+        ox, oy = self.origin.tolist()
+        gx = (x - ox) / self.resolution - 0.5
+        gy = (y - oy) / self.resolution - 0.5
+        i0 = min(max(math.floor(gx), 0), self.nx - 2)
+        j0 = min(max(math.floor(gy), 0), self.ny - 2)
+        fx = min(max(gx - i0, 0.0), 1.0)
+        fy = min(max(gy - j0, 0.0), 1.0)
+        k00 = j0 * self.nx + i0
+        k01 = k00 + self.nx
+        item = self.field.item
+        return (
+            item(k00) * (1 - fx) * (1 - fy)
+            + item(k00 + 1) * fx * (1 - fy)
+            + item(k01) * (1 - fx) * fy
+            + item(k01 + 1) * fx * fy
+        )
 
     def collides(self, point, radius: float) -> bool:
         """True iff the interpolated clearance at `point` is strictly below radius."""

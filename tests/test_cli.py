@@ -53,6 +53,16 @@ def test_fly_empty_scene_and_outputs(tmp_path):
     assert log.read_text().splitlines()[0].startswith("t,px,py")
 
 
+@pytest.mark.parametrize("xmax", [0.04, 0.14])  # 0 and 1 cells across at 0.1 m
+def test_fly_grid_under_two_cells_is_an_error(tmp_path, capsys, xmax):
+    scene = tmp_path / "thin.json"
+    scene.write_text(json.dumps({"bounds": [0.0, 0.0, xmax, 3.0], "obstacles": [],
+                                 "start": [0.02, 0.5], "goal": [0.02, 2.5]}))
+    assert run(["fly", "--scene", scene, "--init", "baseline"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at least 2 cells" in err
+
+
 def test_fly_neo_without_model_usage_error(tmp_path):
     assert run(["fly", "--scene", "4", "--init", "neo"]) == 1
 
