@@ -47,16 +47,6 @@ def _basis_factors(n_coeffs: int, order: int) -> np.ndarray:
     return fac
 
 
-@functools.lru_cache(maxsize=None)
-def _state_basis(n_coeffs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Factors and power indices of the basis rows of orders 0, 1 and 2."""
-    fac = np.array([_basis_factors(n_coeffs, order) for order in range(3)])
-    shift = np.maximum(np.arange(n_coeffs) - np.arange(3)[:, None], 0)
-    fac.flags.writeable = False  # shared by every caller through the cache
-    shift.flags.writeable = False
-    return fac, shift
-
-
 def basis(t: float, order: int, n_coeffs: int) -> np.ndarray:
     """Row of the natural basis [1, t, ..., t^N] differentiated `order` times."""
     return basis_matrix(np.array([t]), order, n_coeffs)[0]
@@ -175,18 +165,15 @@ class Trajectory:
         return basis(s, order, n) @ self.coefficients[i]
 
     def eval_state(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Position, velocity and acceleration at global time t, bitwise eval(t, 0..2).
+        """Position, velocity and acceleration at global time t, as eval(t, 0..2).
 
-        The piece is located once and the three basis rows share one power
-        row; each row is still its own (n,) @ (n, D) product, as in eval.
+        The piece is located once; each row is eval's own basis(s, k, n) @ c.
         """
         i = self.piece_index(t)
         s = min(t - self.start_times[i], self.durations[i])
+        n = self.coefficients.shape[1]
         c = self.coefficients[i]
-        fac, shift = _state_basis(c.shape[0])
-        # row k holds fac_k[j] * s**(j-k), and 0 for j < k, as basis(s, k, n)
-        rows = fac * (np.array([[s]]) ** np.arange(c.shape[0]))[0][shift]
-        return rows[0] @ c, rows[1] @ c, rows[2] @ c
+        return tuple(basis(s, order, n) @ c for order in range(3))
 
     def eval_piece(self, i: int, s: np.ndarray, order: int = 0) -> np.ndarray:
         """Evaluate piece i at local times s (vectorized), shape (len(s), D)."""

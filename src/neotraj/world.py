@@ -203,13 +203,10 @@ class GridWorld:
         if self.field is None:
             raise WorldMissingDistanceField("world has no distance field")
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = self.in_bounds(points)
-        if inside.all():  # the normal case: no mask copy, no scatter
-            d, ddx, ddy = self._bilinear(points)
-            return d, np.stack((ddx, ddy), axis=1)
         k = points.shape[0]
         dist = np.zeros(k)
         grad = np.zeros((k, 2))
+        inside = self.in_bounds(points)
         if not inside.any():
             return dist, grad
         d, ddx, ddy = self._bilinear(points[inside])

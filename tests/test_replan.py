@@ -1,12 +1,9 @@
 """Committed-trajectory splicing, local goals, episodes, latency behavior."""
 
-import bisect
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from neotraj.config import RunConfig
 from neotraj.errors import ActivationInPast, NoFreeCell
@@ -68,64 +65,6 @@ def test_splice_activation_in_past():
     c.add(2.0 + 1.0, straight_traj([0, 0], [2, 0], 4.0))
     with pytest.raises(ActivationInPast):
         c.add(1.0 + 0.5, straight_traj([0, 0], [1, 0], 2.0))
-
-
-def reference_query(c, t):
-    """CommittedTrajectory.query as first written: three eval calls."""
-    k = bisect.bisect_right(c.activations, t) - 1
-    if k < 0:
-        z = np.zeros_like(c.hover)
-        return c.hover.copy(), z, z.copy()
-    traj = c.segments[k]
-    s = min(max(t - c.activations[k], 0.0), traj.total_time)
-    return traj.eval(s, 0), traj.eval(s, 1), traj.eval(s, 2)
-
-
-def _committed_with_orders():
-    """Three segments at S = 3, 2, 1 (6, 4 and 2 coefficients per piece)."""
-    rng = np.random.default_rng(7)
-    c = CommittedTrajectory([0.3, -0.2])
-    t_act = 0.5
-    for m, s_order in ((3, 3), (4, 2), (2, 1)):
-        init = BoundaryState(rng.normal(size=2), rng.normal(size=2), rng.normal(size=2))
-        target = BoundaryState(rng.normal(size=2) + 3.0, rng.normal(size=2), rng.normal(size=2))
-        q = rng.normal(size=(2, m - 1)) + 1.5
-        c.add(t_act, solve_coeffs(init, target, TrajParams(q, rng.uniform(0.3, 1.7, size=m)),
-                                  s_order))
-        t_act += 0.8 * c.segments[-1].total_time
-    return c
-
-
-COMMITTED = _committed_with_orders()
-
-
-def _special_times(c):
-    """Before the first activation, activations, piece borders, past the end."""
-    times = [-1.0, 0.0, np.nextafter(c.activations[0], -np.inf)]
-    for t_act, traj in zip(c.activations, c.segments):
-        for border in t_act + traj.start_times:
-            times += [np.nextafter(border, -np.inf), border, np.nextafter(border, np.inf)]
-        times += [t_act + traj.total_time + 1.0]
-    return times
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(t=st.one_of(st.sampled_from(_special_times(COMMITTED)), st.floats(-1.0, 12.0)))
-def test_committed_query_equals_three_evals_bitwise(t):
-    got = COMMITTED.query(t)
-    ref = reference_query(COMMITTED, t)
-    for g, r in zip(got, ref):
-        assert g.shape == r.shape and np.array_equal(g, r)
-
-
-def test_committed_query_covers_every_segment_and_the_end():
-    hits = {bisect.bisect_right(COMMITTED.activations, t) - 1 for t in _special_times(COMMITTED)}
-    assert hits == {-1, 0, 1, 2}
-    last = COMMITTED.segments[-1]
-    p, v, a = COMMITTED.query(1e3)  # held at the end of the last segment
-    assert np.array_equal(p, last.eval(last.total_time, 0))
-    assert np.array_equal(a, last.eval(last.total_time, 2))
 
 
 def test_select_local_goal_unobstructed(empty_world):
