@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
+import functools
 import json
 import os
 import sys
@@ -21,8 +23,8 @@ import numpy as np
 
 from . import neural
 from .config import RunConfig
-from .errors import EmptyDataset, NeotrajError, PackingFailure
-from .initializers import InitStrategy
+from .errors import NeotrajError
+from .initializers import STRATEGY_KINDS, InitStrategy
 from .minco import BoundaryState
 from .objective import ObjectiveSetup, total_objective
 from .replan import derive_seed, run_episode, select_local_goal
@@ -31,17 +33,11 @@ from .world import FIXED_PRESETS, RANDOM_PRESETS, GridWorld, SceneSpec, generate
 AGGREGATE_COLUMNS = ["scene", "init", "success_rate", "avg_cost", "avg_plan_time", "avg_iterations"]
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_config(args) -> RunConfig:
@@ -61,12 +57,6 @@ def _scene_token(token: str):
     raise ValueError(f"unknown scene preset {preset}")
 
 
-def _materialize_scene(token, seed: int) -> SceneSpec:
-    if isinstance(token, SceneSpec):
-        return token
-    return generate_scene(preset=token, seed=seed)
-
-
 def _scene_label(token) -> str:
     if isinstance(token, SceneSpec):
         return token.name or "file"
@@ -74,19 +64,14 @@ def _scene_label(token) -> str:
 
 
 def cmd_scene(args) -> int:
-    try:
-        if args.preset is not None:
-            spec = generate_scene(preset=args.preset, seed=args.seed)
-        else:
-            if args.count is None:
-                print("error: need --preset or --count/--width-min/--width-max", file=sys.stderr)
-                return 1
-            spec = generate_scene(
-                count=args.count, width_range=(args.width_min, args.width_max), seed=args.seed
-            )
-    except PackingFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.preset is not None:
+        spec = generate_scene(preset=args.preset, seed=args.seed)
+    elif args.count is None:
+        raise ValueError("need --preset or --count/--width-min/--width-max")
+    else:
+        spec = generate_scene(
+            count=args.count, width_range=(args.width_min, args.width_max), seed=args.seed
+        )
     spec.save(args.out)
     print(f"wrote {args.out}: {len(spec.obstacles)} obstacles")
     return 0
@@ -109,14 +94,10 @@ def cmd_collect(args) -> int:
 
 def cmd_train(args) -> int:
     rc = _load_config(args)
-    try:
-        records = neural.load_dataset(args.data)
-        cfg = neural.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
-        model = neural.MlpModel(norm=rc.norm_constants(), seed=args.seed)
-        model, curve = neural.train(records, cfg, model)
-    except EmptyDataset as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = neural.load_dataset(args.data)
+    cfg = neural.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+    model = neural.MlpModel(norm=rc.norm_constants(), seed=args.seed)
+    model, curve = neural.train(records, cfg, model)
     model.save(args.out)
     loss_path = args.loss_out or str(args.out) + ".loss.csv"
     _write_csv(
@@ -134,26 +115,31 @@ def _init_kind(init: str) -> str:
     return "neural" if init in ("neo", "neural") else init
 
 
+@functools.lru_cache(maxsize=None)
+def _load_model(path) -> neural.MlpModel:
+    """Each model file is read once per process (bench workers fly many episodes)."""
+    return neural.MlpModel.load(path)
+
+
 def _build_strategy(init: str, model_path) -> InitStrategy:
     init = _init_kind(init)
     if init == "neural":
         if not model_path:
             raise ValueError("--init neo requires --model")
-        return InitStrategy("neural", neural.MlpModel.load(model_path))
+        return InitStrategy("neural", _load_model(model_path))
     return InitStrategy(init)
+
+
+def _fly(token, world_seed: int, init: str, model_path, rc: RunConfig, seed: int):
+    """One episode: a scene file's world, or preset `token`'s world drawn from world_seed."""
+    strategy = _build_strategy(init, model_path)
+    spec = token if isinstance(token, SceneSpec) else generate_scene(preset=token, seed=world_seed)
+    return run_episode(GridWorld(spec, rc.resolution), strategy, rc, seed=seed)
 
 
 def cmd_fly(args) -> int:
     rc = _load_config(args)
-    try:
-        strategy = _build_strategy(args.init, args.model)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    token = _scene_token(args.scene)
-    spec = _materialize_scene(token, args.seed)
-    world = GridWorld(spec, rc.resolution)
-    report = run_episode(world, strategy, rc, seed=args.seed)
+    report = _fly(_scene_token(args.scene), args.seed, args.init, args.model, rc, args.seed)
     if args.report:
         report.save_json(args.report)
     if args.log:
@@ -168,25 +154,10 @@ def cmd_fly(args) -> int:
     return 0
 
 
-_WORKER_MODELS: dict = {}
-
-
 def _bench_episode(task: dict) -> dict:
     """Worker entry: runs one episode described by a picklable task dict."""
-    rc = task["config"]
-    if task["scene_file"] is not None:
-        spec = SceneSpec.from_dict(task["scene_file"])
-    else:
-        spec = generate_scene(preset=task["preset"], seed=task["world_seed"])
-    world = GridWorld(spec, rc.resolution)
-    if task["init"] == "neural":
-        path = task["model_path"]
-        if path not in _WORKER_MODELS:
-            _WORKER_MODELS[path] = neural.MlpModel.load(path)
-        strategy = InitStrategy("neural", _WORKER_MODELS[path])
-    else:
-        strategy = InitStrategy(task["init"])
-    report = run_episode(world, strategy, rc, seed=task["episode_seed"])
+    report = _fly(task["scene"], task["world_seed"], task["init"], task["model_path"],
+                  task["config"], task["episode_seed"])
     out = report.to_json_dict()
     out["scene"] = task["scene_label"]
     out["run"] = task["run"]
@@ -225,8 +196,7 @@ def _make_tasks(scenes, inits, runs, seed, rc, model_path) -> list[dict]:
                     {
                         "index": index,
                         "scene_label": _scene_label(token),
-                        "scene_file": token.to_dict() if isinstance(token, SceneSpec) else None,
-                        "preset": None if isinstance(token, SceneSpec) else token,
+                        "scene": token,
                         "world_seed": 0 if fixed else world_seed,
                         "episode_seed": world_seed,
                         "init": init,
@@ -307,9 +277,11 @@ def _svg_bars(path, title, labels, series: dict) -> None:
 def cmd_bench(args) -> int:
     rc = _load_config(args)
     inits = [_init_kind(s.strip()) for s in args.inits.split(",") if s.strip()]
+    for init in inits:
+        if init not in STRATEGY_KINDS:
+            raise ValueError(f"unknown strategy {init!r}")
     if "neural" in inits and not args.model:
-        print("error: --inits with neo requires --model", file=sys.stderr)
-        return 1
+        raise ValueError("--inits with neo requires --model")
     scenes = [_scene_token(t) for t in args.scenes]
     os.makedirs(args.out_dir, exist_ok=True)
     tasks = _make_tasks(scenes, inits, args.runs, args.seed, rc, args.model)
@@ -357,7 +329,7 @@ def cmd_latency(args) -> int:
     header = ["scene", "metric"] + [f"foresee_{v:g}" for v in foresee_values]
     _write_csv(args.out, header, all_rows)
     for row in all_rows:
-        print(" ".join(_fmt(v) for v in row))
+        print(" ".join(map(str, row)))
     return 0
 
 
@@ -442,13 +414,25 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than `minimum`."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="neotraj", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("scene", help="generate a scene file")
     sp.add_argument("--preset", type=int, choices=sorted(FIXED_PRESETS | RANDOM_PRESETS.keys()))
-    sp.add_argument("--count", type=int)
+    sp.add_argument("--count", type=_at_least(0))
     sp.add_argument("--width-min", type=float, default=0.5)
     sp.add_argument("--width-max", type=float, default=1.0)
     sp.add_argument("--seed", type=int, default=0)
@@ -457,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("collect", help="collect expert training data")
     sp.add_argument("--scenes", nargs="+", default=["4"])
-    sp.add_argument("--episodes", type=int, default=30)
+    sp.add_argument("--episodes", type=_at_least(1), default=30)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--config")
@@ -485,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bench", help="benchmark initializers over scenes")
     sp.add_argument("--scenes", nargs="+", default=["4", "5", "6", "7", "8", "9"])
-    sp.add_argument("--runs", type=int, default=20)
+    sp.add_argument("--runs", type=_at_least(1), default=20)
     sp.add_argument("--inits", default="baseline,geo,neo")
     sp.add_argument("--model")
     sp.add_argument("--seed", type=int, default=0)
@@ -496,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("latency", help="foreseeing-horizon latency study")
     sp.add_argument("--scenes", nargs="+", default=["1", "2", "3"])
-    sp.add_argument("--runs", type=int, default=10)
+    sp.add_argument("--runs", type=_at_least(1), default=10)
     sp.add_argument("--latency", type=float, default=0.8)
     sp.add_argument("--foresee", default="0,1.0")
     sp.add_argument("--init", choices=["baseline", "geo", "expert"], default="geo")
@@ -506,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_latency)
 
     sp = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_at_least(0), default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--config")
     sp.set_defaults(func=cmd_gradcheck)

@@ -17,7 +17,7 @@ from . import neural as neural_mod
 from .errors import NoPath
 from .minco import BoundaryState, TrajParams
 from .objective import CostWeights, PenaltyConfig, TimeTransform
-from .solver import DURATION_MARGIN, PlanResult, SolverConfig, plan
+from .solver import DURATION_MARGIN, PlanResult, SolverConfig, clamp_durations, plan
 from .world import GridWorld
 
 STRATEGY_KINDS = ("baseline", "geo", "expert", "neural")
@@ -37,16 +37,16 @@ class InitStrategy:
             raise ValueError("neural strategy requires a loaded model")
 
 
-def _time_profile(m: int) -> np.ndarray:
-    """First and last piece 1.5x longer than the interior ones."""
-    w = np.ones(m)
+def _timed(q, length: float, tf: TimeTransform, v_max: float, cruise_fraction: float) -> TrajParams:
+    """Waypoints q (D, M-1) with durations for `length` meters at cruise speed.
+
+    The first and last piece get 1.5x the time of the interior ones.
+    """
+    w = np.ones(q.shape[1] + 1)
     w[0] = 1.5
     w[-1] = 1.5
-    return w
-
-
-def _clamp_durations(tbar: np.ndarray, tf: TimeTransform) -> np.ndarray:
-    return np.clip(tbar, tf.t_min + DURATION_MARGIN, tf.t_max - DURATION_MARGIN)
+    total = length / (cruise_fraction * v_max)
+    return TrajParams(q, clamp_durations(total * w / w.sum(), tf))
 
 
 def baseline_init(
@@ -67,10 +67,7 @@ def baseline_init(
         return TrajParams(q.reshape(d, m - 1), tbar)
     fracs = np.arange(1, m) / m
     q = init.position[:, None] + delta[:, None] * fracs[None, :]
-    total = dist / (cruise_fraction * v_max)
-    w = _time_profile(m)
-    tbar = _clamp_durations(total * w / w.sum(), tf)
-    return TrajParams(q, tbar)
+    return _timed(q, dist, tf, v_max, cruise_fraction)
 
 
 _MOVES = [
@@ -171,10 +168,7 @@ def geo_init(
     total_len = float(seg.sum())
     if total_len < 1e-9:
         return baseline_init(init, target, m, tf, v_max, cruise_fraction)
-    total = total_len / (cruise_fraction * v_max)
-    w = _time_profile(m)
-    tbar = _clamp_durations(total * w / w.sum(), tf)
-    return TrajParams(q, tbar)
+    return _timed(q, total_len, tf, v_max, cruise_fraction)
 
 
 def deformed_guesses(

@@ -278,18 +278,13 @@ class BandedSystem:
             raise SingularSystem(f"zero pivot in column {info} of the coefficient system")
         return lu, lower, upper, piv
 
-    def _solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+    def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """Solve A x = rhs, or A^T x = rhs with `transpose`."""
         lu, lower, upper, piv = self._factors[transpose]
         x, info = _GBTRS(lu, lower, upper, rhs, piv)
         if info != 0 or not np.isfinite(x).all():
             raise SingularSystem("coefficient system has no finite solution")
         return x
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(rhs, False)
-
-    def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solve(rhs, True)
 
 
 def _build_rhs(init: BoundaryState, target: BoundaryState, params: TrajParams, s_order: int):
@@ -353,7 +348,7 @@ def propagate_gradients(
 
     if system is None:
         system = BandedSystem(params.durations, s_order)
-    g = system.solve_transpose(dk_dc.reshape(m * n, d))
+    g = system.solve(dk_dc.reshape(m * n, d), transpose=True)
     tp = system.template
     dh_dq = (g[tp.knots] + g[tp.knots + 1]).T
 

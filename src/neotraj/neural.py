@@ -16,7 +16,7 @@ normalization constants baked in, so inference needs no side channel.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -45,18 +45,6 @@ class NormConstants:
     v_max: float = 1.0
     max_range: float = 5.0
     tau_scale: float = 4.0
-
-    def to_dict(self):
-        return {
-            "d_look": self.d_look,
-            "v_max": self.v_max,
-            "max_range": self.max_range,
-            "tau_scale": self.tau_scale,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
 
 
 def rotation(heading: float) -> np.ndarray:
@@ -113,10 +101,10 @@ def decode_output(
     heading: float,
     tf: TimeTransform,
     norm: NormConstants,
-    dims: int = 2,
 ) -> TrajParams:
     """Invert encode_target: world-frame TrajParams from a network output."""
     out = np.asarray(out, dtype=float).ravel()
+    dims = position.size
     m, rem = divmod(out.size + dims, dims + 1)
     if rem != 0 or m < 1:
         raise ModelShapeMismatch(f"output size {out.size} does not fit D={dims}")
@@ -186,41 +174,41 @@ class MlpModel:
 
     def param_list(self) -> list[np.ndarray]:
         """Flat canonical parameter order (shared references)."""
-        out = []
-        for name in ("depth", "inertial", "head"):
-            for w, b in self.layers[name]:
-                out.append(w)
-                out.append(b)
-        return out
+        return _flat(self.layers)
 
     def set_params(self, params: list[np.ndarray]) -> None:
         for dst, src in zip(self.param_list(), params):
             dst[...] = src
 
-    def _branch_forward(self, name: str, x: np.ndarray, cache=None):
-        h = x
-        for w, b in self.layers[name]:
+    def _forward(self, x: np.ndarray, caches: dict | None = None) -> np.ndarray:
+        """Outputs for a (B, I) batch.
+
+        With `caches` ({branch name: []}), each layer appends its
+        (input, pre-activation) pair to its branch's list, for backward.
+        """
+        nd = self.depth_sizes[0]
+        hd = self._branch("depth", x[:, :nd], caches)
+        hi = self._branch("inertial", x[:, nd:], caches)
+        return self._branch("head", np.concatenate([hd, hi], axis=1), caches)
+
+    def _branch(self, name: str, h: np.ndarray, caches) -> np.ndarray:
+        layers = self.layers[name]
+        for k, (w, b) in enumerate(layers):
             z = h @ w.T + b
-            if cache is not None:
-                cache.append((h, z))
-            h = _leaky(z, self.slope)
+            if caches is not None:
+                caches[name].append((h, z))
+            # the head's last layer is the linear output
+            h = z if name == "head" and k == len(layers) - 1 else _leaky(z, self.slope)
         return h
 
     def forward(self, obs: np.ndarray) -> np.ndarray:
         """Predict; accepts a single observation (I,) or a batch (B, I)."""
         obs = np.asarray(obs, dtype=float)
-        single = obs.ndim == 1
         x = np.atleast_2d(obs)
         if x.shape[1] != self.n_inputs:
             raise ShapeMismatch(f"expected {self.n_inputs} inputs, got {x.shape[1]}")
-        nd = self.depth_sizes[0]
-        hd = self._branch_forward("depth", x[:, :nd])
-        hi = self._branch_forward("inertial", x[:, nd:])
-        h = np.concatenate([hd, hi], axis=1)
-        for k, (w, b) in enumerate(self.layers["head"]):
-            z = h @ w.T + b
-            h = z if k == len(self.layers["head"]) - 1 else _leaky(z, self.slope)
-        return h[0] if single else h
+        h = self._forward(x)
+        return h[0] if obs.ndim == 1 else h
 
     def backward(self, obs: np.ndarray, targets: np.ndarray):
         """MSE loss (mean over batch and output dims) and its gradients.
@@ -231,42 +219,27 @@ class MlpModel:
         y = np.atleast_2d(np.asarray(targets, dtype=float))
         if x.shape[0] == 0:
             raise EmptyDataset("backward on an empty batch")
-        nd = self.depth_sizes[0]
-        caches = {"depth": [], "inertial": [], "head": []}
-        hd = self._branch_forward("depth", x[:, :nd], caches["depth"])
-        hi = self._branch_forward("inertial", x[:, nd:], caches["inertial"])
-        h = np.concatenate([hd, hi], axis=1)
-        for k, (w, b) in enumerate(self.layers["head"]):
-            z = h @ w.T + b
-            caches["head"].append((h, z))
-            h = z if k == len(self.layers["head"]) - 1 else _leaky(z, self.slope)
-
-        diff = h - y
+        caches = {name: [] for name in self.layers}
+        diff = self._forward(x, caches) - y
         loss = float(np.mean(diff**2))
         delta = 2.0 * diff / diff.size
 
         grads = {name: [None] * len(self.layers[name]) for name in self.layers}
 
-        def back_layers(name, delta, last_linear):
+        def back_layers(name, delta):
             layers = self.layers[name]
             for k in range(len(layers) - 1, -1, -1):
                 inp, z = caches[name][k]
-                if not (last_linear and k == len(layers) - 1):
+                if not (name == "head" and k == len(layers) - 1):
                     delta = delta * _leaky_grad(z, self.slope)
                 grads[name][k] = (delta.T @ inp, delta.sum(axis=0))
                 delta = delta @ layers[k][0]
             return delta
 
-        dh = back_layers("head", delta, last_linear=True)
-        back_layers("depth", dh[:, : self.depth_sizes[-1]], last_linear=False)
-        back_layers("inertial", dh[:, self.depth_sizes[-1] :], last_linear=False)
-
-        flat = []
-        for name in ("depth", "inertial", "head"):
-            for gw, gb in grads[name]:
-                flat.append(gw)
-                flat.append(gb)
-        return loss, flat
+        dh = back_layers("head", delta)
+        back_layers("depth", dh[:, : self.depth_sizes[-1]])
+        back_layers("inertial", dh[:, self.depth_sizes[-1] :])
+        return loss, _flat(grads)
 
     def to_dict(self) -> dict:
         return {
@@ -275,7 +248,7 @@ class MlpModel:
             "inertial_sizes": self.inertial_sizes,
             "head_sizes": self.head_sizes,
             "slope": self.slope,
-            "norm": self.norm.to_dict(),
+            "norm": asdict(self.norm),
             "params": {
                 name: [[w.tolist(), b.tolist()] for w, b in self.layers[name]]
                 for name in ("depth", "inertial", "head")
@@ -289,17 +262,17 @@ class MlpModel:
             inertial_sizes=d["inertial_sizes"],
             head_sizes=d["head_sizes"],
             slope=d["slope"],
-            norm=NormConstants.from_dict(d["norm"]),
+            norm=NormConstants(**d["norm"]),
         )
-        for name in ("depth", "inertial", "head"):
+        for name, built in model.layers.items():
             stored = d["params"][name]
-            if len(stored) != len(model.layers[name]):
+            if len(stored) != len(built):
                 raise ModelShapeMismatch(f"layer count mismatch in branch {name}")
             model.layers[name] = [
                 (np.array(w, dtype=float), np.array(b, dtype=float)) for w, b in stored
             ]
-            for (w, b), (ew, eb) in zip(model.layers[name], _layer_shapes(d, name)):
-                if w.shape != ew or b.shape != eb:
+            for (w, b), (ew, eb) in zip(model.layers[name], built):
+                if w.shape != ew.shape or b.shape != eb.shape:
                     raise ModelShapeMismatch(f"bad weight shape in branch {name}")
         return model
 
@@ -314,9 +287,9 @@ class MlpModel:
             return cls.from_dict(json.load(fh))
 
 
-def _layer_shapes(d: dict, name: str):
-    sizes = d[f"{name}_sizes"]
-    return [((sizes[i + 1], sizes[i]), (sizes[i + 1],)) for i in range(len(sizes) - 1)]
+def _flat(branches: dict) -> list:
+    """Per-layer (weight, bias) pairs of each branch in the canonical flat order."""
+    return [p for name in ("depth", "inertial", "head") for layer in branches[name] for p in layer]
 
 
 @dataclass

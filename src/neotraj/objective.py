@@ -107,11 +107,6 @@ def time_to_tau(tbar: np.ndarray, tf: TimeTransform) -> np.ndarray:
     return np.log(u / (1.0 - u))
 
 
-def tau_chain_factor(tau: np.ndarray, tf: TimeTransform) -> np.ndarray:
-    """dtbar/dtau, used to chain duration gradients onto tau."""
-    return _duration_map(tau, tf)[1]
-
-
 @functools.lru_cache(maxsize=None)
 def _unit_bases(kappa: int, n: int, order: int):
     """Unit sampling basis and duration exponents for fixed fractions j/kappa.

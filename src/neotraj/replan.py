@@ -58,14 +58,10 @@ class CommittedTrajectory:
         self.activations: list[float] = []
         self.segments: list[Trajectory] = []
 
-    def latest_activation(self) -> float:
-        return self.activations[-1] if self.activations else -np.inf
-
     def add(self, t_activate: float, traj: Trajectory) -> None:
-        if t_activate < self.latest_activation():
-            raise ActivationInPast(
-                f"activation {t_activate} before latest {self.latest_activation()}"
-            )
+        latest = self.activations[-1] if self.activations else -np.inf
+        if t_activate < latest:
+            raise ActivationInPast(f"activation {t_activate} before latest {latest}")
         self.activations.append(float(t_activate))
         self.segments.append(traj)
 
@@ -295,22 +291,24 @@ def run_episode(
         report.plan_wall_times.append(float(result.wall_time))
         report.plan_latencies.append(float(latency))
 
+    def commit_due(t: float) -> None:
+        """Activate every queued plan whose activation time has come."""
+        while pending and pending[0][0] + pending[0][1] <= t + eps:
+            t_x, eff_foresee, traj = pending.pop(0)
+            committed.add(t_x + eff_foresee, traj)
+
     ticks_per_replan = max(int(round(rc.replan_interval * rc.tick_rate)), 1)
     log_01 = max(int(round(0.1 * rc.tick_rate)), 1)
     log_05 = max(int(round(0.5 * rc.tick_rate)), 1)
 
     while tick <= n_ticks:
         t = tick * dt
-        while pending and pending[0][0] + pending[0][1] <= t + eps:
-            t_x, eff_foresee, traj = pending.pop(0)
-            committed.add(t_x + eff_foresee, traj)
+        commit_due(t)
         if tick % ticks_per_replan == 0:
             try:
                 do_replan(t)
                 pending.sort(key=lambda item: item[0] + item[1])
-                while pending and pending[0][0] + pending[0][1] <= t + eps:
-                    t_x, eff_foresee, traj = pending.pop(0)
-                    committed.add(t_x + eff_foresee, traj)
+                commit_due(t)
             except NeotrajError as exc:  # a failed replan ends this episode only
                 report.failure_reason = _failure_reason(exc)
                 report.flight_time = t
@@ -355,9 +353,8 @@ def run_episode(
     pts = np.array([[row[1], row[2]] for row in report.samples])
     if pts.shape[0] >= 2:
         report.path_length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-    report.collision_samples = sum(
-        1 for row in report.samples if world.collides(np.array([row[1], row[2]]), rc.drone_radius)
-    )
+    # row[9] is the sample's clearance, world.distance_at(pos); world.collides compares it
+    report.collision_samples = sum(1 for row in report.samples if row[9] < rc.drone_radius)
     report.feasibility_violation = float(
         sum(max(np.hypot(row[3], row[4]) - setup.penalty.v_max, 0.0) for row in report.samples)
     )

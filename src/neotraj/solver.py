@@ -202,6 +202,11 @@ def minimize(f, x0: np.ndarray, cfg: SolverConfig | None = None):
 DURATION_MARGIN = 1e-3
 
 
+def clamp_durations(tbar: np.ndarray, tf: TimeTransform) -> np.ndarray:
+    """Durations clipped DURATION_MARGIN inside the transform's bounds."""
+    return np.clip(tbar, tf.t_min + DURATION_MARGIN, tf.t_max - DURATION_MARGIN)
+
+
 def plan(
     init: BoundaryState,
     target: BoundaryState,
@@ -226,10 +231,7 @@ def plan(
         s_order=s_order,
     )
     d, m = guess.dims, guess.n_pieces
-    tbar0 = np.clip(
-        guess.durations, transform.t_min + DURATION_MARGIN, transform.t_max - DURATION_MARGIN
-    )
-    tau0 = objective.time_to_tau(tbar0, transform)
+    tau0 = objective.time_to_tau(clamp_durations(guess.durations, transform), transform)
     x0 = np.concatenate([guess.waypoints.flatten(order="F"), tau0])
     nq = d * (m - 1)
 

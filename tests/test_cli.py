@@ -1,12 +1,15 @@
 """Command-line interface: flags, outputs, determinism, exit codes."""
 
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+from neotraj import cli
 from neotraj.cli import main
+from neotraj.world import SceneSpec
 
 
 def run(args):
@@ -232,3 +235,65 @@ def test_collect_deterministic(tmp_path):
     for d in (d1, d2):
         assert run(["collect", "--scenes", "4", "--episodes", 1, "--seed", 9, "--out", d]) == 0
     assert d1.read_bytes() == d2.read_bytes()
+
+
+def one_error_line(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("error:") == 1
+
+
+@pytest.mark.parametrize("args, code", [
+    (["scene", "--out", "s.json"], 1),  # neither --preset nor --count
+    (["train", "--data", "empty.jsonl", "--out", "m.json"], 2),
+    (["bench", "--scenes", "4", "--runs", 1, "--inits", "neo", "--out-dir", "b"], 1),
+])
+def test_errors_reach_main_as_one_line(tmp_path, monkeypatch, capsys, args, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.jsonl").write_text("")
+    assert run(args) == code
+    assert one_error_line(capsys)
+
+
+def test_bench_rejects_unknown_init_before_flying(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")  # in-process, so the counter sees every episode
+    flown = []
+    real_run_episode = cli.run_episode
+
+    def counting(*args, **kwargs):
+        flown.append(1)
+        return real_run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", counting)
+    assert run(["bench", "--scenes", "4", "--runs", 1, "--inits", "baseline,foo",
+                "--out-dir", tmp_path / "b"]) == 1
+    assert one_error_line(capsys)
+    assert flown == []
+
+
+@pytest.mark.parametrize("args", [
+    ["gradcheck", "--trials", -3],
+    ["scene", "--count", -2, "--out", "s.json"],
+    ["latency", "--runs", 0, "--out", "lat.csv"],
+    ["bench", "--runs", 0, "--out-dir", "b"],
+    ["collect", "--episodes", 0, "--out", "d.jsonl"],
+])
+def test_count_flags_below_their_minimum_are_usage_errors(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert run(args) == 1
+    assert "must be at least" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_bench_csv_quotes_a_scene_name(tmp_path, monkeypatch):
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    scene = tmp_path / "named.json"
+    name = 'poles, "left"'
+    SceneSpec(bounds=(-2.0, -3.0, 8.0, 3.0), obstacles=[(3.0, 2.0, 0.5)], start=(0.0, 0.0),
+              goal=(6.0, 0.0), name=name).save(scene)
+    out = tmp_path / "b"
+    assert run(["bench", "--scenes", scene, "--runs", 1, "--inits", "baseline",
+                "--out-dir", out]) == 0
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [6, 6]
+    assert rows[1][:2] == [name, "baseline"]

@@ -1,6 +1,7 @@
 """Network forward/backward, Adam, training loop, encodings, file formats."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +179,32 @@ def test_model_json_roundtrip(tmp_path, rng):
     assert doc["format"] == "neotraj-model-1"
     x = rng.normal(size=76)
     assert np.array_equal(model.forward(x), loaded.forward(x))
+
+
+@pytest.mark.parametrize("damage", ["missing_layer", "transposed_weight"])
+def test_model_from_dict_rejects_bad_branch_shapes(damage):
+    doc = MlpModel(seed=0).to_dict()
+    if damage == "missing_layer":
+        doc["params"]["inertial"].pop()
+    else:
+        w, b = doc["params"]["depth"][0]
+        doc["params"]["depth"][0] = [np.array(w).T.tolist(), b]
+    with pytest.raises(ModelShapeMismatch):
+        MlpModel.from_dict(doc)
+
+
+def test_committed_model_file_saves_back_byte_identical(tmp_path):
+    committed = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neo_model.json"
+    out = tmp_path / "model.json"
+    MlpModel.load(committed).save(out)
+    assert out.read_bytes() == committed.read_bytes()
+
+
+def test_backward_loss_is_the_forward_pass_mse(rng):
+    model = MlpModel(seed=4)
+    x, y = rng.normal(size=(5, 76)), rng.normal(size=(5, 7))
+    loss, _ = model.backward(x, y)
+    assert loss == float(np.mean((model.forward(x) - y) ** 2))
 
 
 def test_dataset_roundtrip(tmp_path, rng):

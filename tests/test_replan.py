@@ -182,3 +182,14 @@ def test_derive_seed_properties():
     assert derive_seed(42, 7) == derive_seed(42, 7)
     assert derive_seed(42, 7) != derive_seed(43, 7)
     assert all(0 <= s < 2**32 for s in seeds)
+
+
+def test_collision_samples_count_sample_rows_inside_the_drone_radius():
+    world = GridWorld(SceneSpec(obstacles=[(3.0, 0.05, 1.0)], start=(0.0, 0.0), goal=(6.0, 0.0)))
+    rc = RunConfig()
+    report = run_episode(world, InitStrategy("baseline"), rc, seed=0)
+    assert report.failure_reason == "collision" and report.flight_time == 4.5
+    # reference: one collision query per sample row
+    radius = rc.replan.drone_radius
+    expected = sum(world.collides(np.array([row[1], row[2]]), radius) for row in report.samples)
+    assert report.collision_samples == expected == 1
