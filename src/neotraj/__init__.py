@@ -22,13 +22,7 @@ from .objective import (
     time_to_tau,
     total_objective,
 )
-from .replan import (
-    CommittedTrajectory,
-    EpisodeReport,
-    EpisodeSetup,
-    run_episode,
-    select_local_goal,
-)
+from .replan import CommittedTrajectory, EpisodeReport, run_episode, select_local_goal
 from .solver import PlanResult, SolverConfig, minimize, plan
 from .world import GridWorld, SceneSpec, generate_scene
 

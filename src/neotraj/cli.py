@@ -449,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train the warm-start network")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--epochs", type=int, default=800)
-    sp.add_argument("--lr", type=float, default=1e-3)
+    sp.add_argument("--epochs", type=int, default=neural.TrainConfig.epochs)
+    sp.add_argument("--lr", type=float, default=neural.TrainConfig.learning_rate)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.add_argument("--loss-out")

@@ -54,8 +54,8 @@ def baseline_init(
     target: BoundaryState,
     m: int,
     tf: TimeTransform,
-    v_max: float = 1.0,
-    cruise_fraction: float = 0.7,
+    v_max: float,
+    cruise_fraction: float,
 ) -> TrajParams:
     """Straight-line guess: evenly spaced waypoints, 1.5/1/.../1/1.5 time split."""
     delta = target.position - init.position
@@ -76,7 +76,7 @@ _MOVES = [
 ]
 
 
-def astar_path(world: GridWorld, start, goal, inflate: float = 0.4) -> np.ndarray:
+def astar_path(world: GridWorld, start, goal, inflate: float) -> np.ndarray:
     """8-connected A* over the grid, obstacles inflated by `inflate` meters.
 
     Octile move costs, Euclidean heuristic; ties broken by smaller heading
@@ -148,9 +148,9 @@ def geo_init(
     target: BoundaryState,
     m: int,
     tf: TimeTransform,
-    v_max: float = 1.0,
-    cruise_fraction: float = 0.7,
-    inflate: float = 0.4,
+    v_max: float,
+    cruise_fraction: float,
+    inflate: float,
 ) -> TrajParams:
     """Waypoints from an A* path at arclength fractions k/M; baseline time split.
 
@@ -176,9 +176,9 @@ def deformed_guesses(
     target: BoundaryState,
     m: int,
     tf: TimeTransform,
-    v_max: float = 1.0,
-    cruise_fraction: float = 0.7,
-    amplitude: float = 1.5,
+    v_max: float,
+    cruise_fraction: float,
+    amplitude: float,
 ) -> list[TrajParams]:
     """The expert's three seeds: straight, then left/right half-sine bulges."""
     base = baseline_init(init, target, m, tf, v_max, cruise_fraction)
@@ -199,22 +199,20 @@ def expert_plan(
     world: GridWorld,
     init: BoundaryState,
     target: BoundaryState,
-    m: int = 3,
-    weights: CostWeights | None = None,
-    penalty: PenaltyConfig | None = None,
-    transform: TimeTransform | None = None,
-    solver_cfg: SolverConfig | None = None,
-    amplitude: float = 1.5,
-    cruise_fraction: float = 0.7,
-    s_order: int = 3,
+    m: int,
+    weights: CostWeights,
+    penalty: PenaltyConfig,
+    transform: TimeTransform,
+    solver_cfg: SolverConfig,
+    amplitude: float,
+    cruise_fraction: float,
+    s_order: int = 3,  # RunConfig().s_order; perfbench's PlanSet.decide passes ten arguments
 ) -> tuple[PlanResult, int, list[float]]:
     """Optimize all three seeds and keep the cheapest result.
 
     Returns (best PlanResult, chosen seed index, all three final costs);
     cost ties resolve to the lowest index.
     """
-    penalty = penalty or PenaltyConfig()
-    transform = transform or TimeTransform()
     guesses = deformed_guesses(
         init, target, m, transform, penalty.v_max, cruise_fraction, amplitude
     )

@@ -234,7 +234,7 @@ def _template(m: int, s_order: int) -> _Template:
                      row_piece, s_order + n * np.arange(m - 1) + n - 2)
 
 
-def band_matrix(durations: np.ndarray, s_order: int = 3, transpose: bool = False):
+def band_matrix(durations: np.ndarray, s_order: int, transpose: bool = False):
     """A(tbar), or A^T, in LAPACK band storage: (ab, lower, upper) of that matrix.
 
     Entry (r, c) sits at ab[lower + upper + r - c, c]; the first `lower` rows
@@ -301,7 +301,7 @@ def solve_coeffs(
     init: BoundaryState,
     target: BoundaryState,
     params: TrajParams,
-    s_order: int = 3,
+    s_order: int,
     system: BandedSystem | None = None,
 ) -> Trajectory:
     """Map (Q, tbar) to the unique minimum-effort coefficient matrices.
@@ -321,14 +321,13 @@ def propagate_gradients(
     traj: Trajectory,
     dk_dc: np.ndarray | list[np.ndarray],
     dk_dt: np.ndarray,
-    params: TrajParams,
-    s_order: int = 3,
-    system: BandedSystem | None = None,
+    system: BandedSystem,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull objective gradients from (C, tbar)-space back to (Q, tbar)-space.
 
-    dk_dc is an (M, N+1, D) array or a list of M (N+1, D) arrays.  Solves
-    the adjoint system A^T G = dK/dC; the waypoint gradient collects the G
+    dk_dc is an (M, N+1, D) array or a list of M (N+1, D) arrays; system is
+    the BandedSystem traj was solved with.  Solves the adjoint system
+    A^T G = dK/dC; the waypoint gradient collects the G
     rows of the two position-interpolation constraints at each knot, and
     the duration gradient subtracts G^T (dA/dtbar_i) C, whose entries are
     the template's coef * pw * tbar_i^(pw-1).
@@ -340,14 +339,12 @@ def propagate_gradients(
         dk_dc = np.asarray(dk_dc, dtype=float)
     except ValueError as exc:  # ragged list of per-piece arrays
         raise ShapeMismatch("dk_dc must match the trajectory's coefficient shapes") from exc
-    if n != 2 * s_order or dk_dc.shape != (m, n, d):
+    if n != 2 * system.s_order or dk_dc.shape != (m, n, d):
         raise ShapeMismatch("dk_dc must match the trajectory's coefficient shapes")
     dk_dt = np.asarray(dk_dt, dtype=float).ravel()
     if dk_dt.size != m:
         raise ShapeMismatch(f"dk_dt has {dk_dt.size} entries, expected {m}")
 
-    if system is None:
-        system = BandedSystem(params.durations, s_order)
     g = system.solve(dk_dc.reshape(m * n, d), transpose=True)
     tp = system.template
     dh_dq = (g[tp.knots] + g[tp.knots + 1]).T

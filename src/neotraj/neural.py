@@ -41,9 +41,9 @@ class NormConstants:
     O(1); decoding multiplies it back before the sigmoid duration map.
     """
 
-    d_look: float = 6.0
-    v_max: float = 1.0
-    max_range: float = 5.0
+    d_look: float
+    v_max: float
+    max_range: float
     tau_scale: float = 4.0
 
 
@@ -134,11 +134,11 @@ class MlpModel:
 
     def __init__(
         self,
+        norm: NormConstants,
         depth_sizes=(64, 48, 24),
         inertial_sizes=(12, 24, 24),
         head_sizes=(48, 96, 96, 7),
         slope: float = 0.01,
-        norm: NormConstants | None = None,
         seed: int = 0,
     ):
         if head_sizes[0] != depth_sizes[-1] + inertial_sizes[-1]:
@@ -147,7 +147,7 @@ class MlpModel:
         self.inertial_sizes = list(inertial_sizes)
         self.head_sizes = list(head_sizes)
         self.slope = slope
-        self.norm = norm or NormConstants()
+        self.norm = norm
         rng = np.random.default_rng(seed)
         self.layers = {
             name: [
@@ -299,7 +299,7 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     batch_size: int = 64
-    epochs: int = 200
+    epochs: int = 800
     seed: int = 0
     val_split: float = 0.1
 
@@ -334,8 +334,8 @@ def adam_step(
     return params
 
 
-def train(records: list[dict], cfg: TrainConfig, model: MlpModel | None = None):
-    """Seeded mini-batch training; keeps the best-validation parameters.
+def train(records: list[dict], cfg: TrainConfig, model: MlpModel):
+    """Seeded mini-batch training of `model`; keeps the best-validation parameters.
 
     Returns (model, curve) where curve rows are
     {"epoch", "train_mse", "val_mse"}.
@@ -344,7 +344,6 @@ def train(records: list[dict], cfg: TrainConfig, model: MlpModel | None = None):
         raise EmptyDataset("no training records")
     x = np.array([r["obs"] for r in records], dtype=float)
     y = np.array([r["target"] for r in records], dtype=float)
-    model = model or MlpModel(seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(len(records))
     n_val = int(round(cfg.val_split * len(records)))

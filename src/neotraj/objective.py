@@ -21,7 +21,7 @@ one (M, N+1, D) array.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,7 +142,7 @@ def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def control_effort(traj: Trajectory, s_order: int = 3):
+def control_effort(traj: Trajectory, s_order: int):
     """Closed-form integral of the squared S-th derivative over all pieces.
 
     Returns (cost, dK_dC (M, N+1, D), dK_dt (M,)).
@@ -248,10 +248,10 @@ class ObjectiveSetup:
     init: BoundaryState
     target: BoundaryState
     world: object | None
-    weights: CostWeights = field(default_factory=CostWeights)
-    penalty: PenaltyConfig = field(default_factory=PenaltyConfig)
-    transform: TimeTransform = field(default_factory=TimeTransform)
-    s_order: int = 3
+    weights: CostWeights
+    penalty: PenaltyConfig
+    transform: TimeTransform
+    s_order: int
 
 
 def total_objective(q: np.ndarray, tau: np.ndarray, setup: ObjectiveSetup):
@@ -292,5 +292,5 @@ def total_objective(q: np.ndarray, tau: np.ndarray, setup: ObjectiveSetup):
     if w.feasibility != 0.0:
         accumulate(*feasibility_cost(traj, setup.penalty), w.feasibility)
 
-    dh_dq, dh_dt = minco.propagate_gradients(traj, dk_dc, dk_dt, params, setup.s_order, system)
+    dh_dq, dh_dt = minco.propagate_gradients(traj, dk_dc, dk_dt, system)
     return cost, dh_dq, dh_dt * dtbar_dtau

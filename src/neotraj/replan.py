@@ -17,7 +17,7 @@ import bisect
 import csv
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,16 +106,19 @@ def select_local_goal(
     return BoundaryState(candidate, velocity)
 
 
-def _nearest_clear_cell(world: GridWorld, point, d_safe: float, search_radius: float = 5.0):
+SEARCH_RADIUS = 5.0  # meters around the candidate scanned for a clear cell
+
+
+def _nearest_clear_cell(world: GridWorld, point, d_safe: float):
     """Center of the closest cell with clearance >= d_safe (ties: row-major)."""
-    r_cells = int(np.ceil(search_radius / world.resolution))
+    r_cells = int(np.ceil(SEARCH_RADIUS / world.resolution))
     cx, cy = world.cell_index(point)
     x0, x1 = max(cx - r_cells, 0), min(cx + r_cells + 1, world.nx)
     y0, y1 = max(cy - r_cells, 0), min(cy + r_cells + 1, world.ny)
     window = world.field[y0:y1, x0:x1]
     ys, xs = np.nonzero(window >= d_safe)
     if xs.size == 0:
-        raise NoFreeCell(f"no cell with clearance >= {d_safe} within {search_radius} m")
+        raise NoFreeCell(f"no cell with clearance >= {d_safe} within {SEARCH_RADIUS} m")
     centers_x = world.origin[0] + (xs + x0 + 0.5) * world.resolution
     centers_y = world.origin[1] + (ys + y0 + 0.5) * world.resolution
     d2 = (centers_x - point[0]) ** 2 + (centers_y - point[1]) ** 2
@@ -123,6 +126,10 @@ def _nearest_clear_cell(world: GridWorld, point, d_safe: float, search_radius: f
     order = np.lexsort((xs + x0, ys + y0, d2))
     k = order[0]
     return np.array([centers_x[k], centers_y[k]])
+
+
+# EpisodeReport fields that stay out of the report file: wall times and the 2 Hz log
+_IN_MEMORY = ("plan_wall_times", "samples")
 
 
 @dataclass
@@ -141,7 +148,7 @@ class EpisodeReport:
     trajectory_cost: float = 0.0
     iterations: list[int] = field(default_factory=list)
     plan_latencies: list[float] = field(default_factory=list)
-    plan_wall_times: list[float] = field(default_factory=list)  # in-memory only
+    plan_wall_times: list[float] = field(default_factory=list)
     late_plans: int = 0
     rmse_position: float = 0.0
     rmse_velocity: float = 0.0
@@ -158,27 +165,10 @@ class EpisodeReport:
 
     def to_json_dict(self) -> dict:
         """Deterministic subset: simulated-clock quantities only."""
-        return {
-            "format": REPORT_FORMAT,
-            "scene": self.scene,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "success": self.success,
-            "failure_reason": self.failure_reason,
-            "flight_time": self.flight_time,
-            "path_length": self.path_length,
-            "collision_samples": self.collision_samples,
-            "feasibility_violation": self.feasibility_violation,
-            "trajectory_cost": self.trajectory_cost,
-            "replan_count": self.replan_count,
-            "iterations": self.iterations,
-            "mean_iterations": self.mean_iterations,
-            "plan_latencies": self.plan_latencies,
-            "late_plans": self.late_plans,
-            "rmse_position": self.rmse_position,
-            "rmse_velocity": self.rmse_velocity,
-            "max_command_jump": self.max_command_jump,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in _IN_MEMORY}
+        d.update(format=REPORT_FORMAT, replan_count=self.replan_count,
+                 mean_iterations=self.mean_iterations)
+        return d
 
     def save_json(self, path) -> None:
         with open(path, "w") as fh:

@@ -130,14 +130,13 @@ def _wolfe_search(func, x, f0, g0, direction, cfg: SolverConfig, first_step: flo
     return None
 
 
-def minimize(f, x0: np.ndarray, cfg: SolverConfig | None = None):
+def minimize(f, x0: np.ndarray, cfg: SolverConfig):
     """L-BFGS minimization of f(x) -> (value, gradient).
 
     Terminates on gradient inf-norm <= g_tol, relative cost decrease
     <= f_tol, or max iterations.  Returns (x, value, iterations, ls_evals,
     converged).
     """
-    cfg = cfg or SolverConfig()
     func = _Objective(f)
     x = np.asarray(x0, dtype=float).copy()
     fx, g = func(x)
@@ -211,25 +210,16 @@ def plan(
     init: BoundaryState,
     target: BoundaryState,
     guess: TrajParams,
-    world=None,
-    weights: CostWeights | None = None,
-    penalty: PenaltyConfig | None = None,
-    transform: TimeTransform | None = None,
-    solver_cfg: SolverConfig | None = None,
-    s_order: int = 3,
+    world,
+    weights: CostWeights,
+    penalty: PenaltyConfig,
+    transform: TimeTransform,
+    solver_cfg: SolverConfig,
+    s_order: int,
 ) -> PlanResult:
-    """Run one spatial-temporal optimization from an initial guess."""
+    """Run one spatial-temporal optimization from an initial guess (world None: no obstacles)."""
     t_start = time.perf_counter()
-    transform = transform or TimeTransform()
-    setup = ObjectiveSetup(
-        init=init,
-        target=target,
-        world=world,
-        weights=weights or CostWeights(),
-        penalty=penalty or PenaltyConfig(),
-        transform=transform,
-        s_order=s_order,
-    )
+    setup = ObjectiveSetup(init, target, world, weights, penalty, transform, s_order)
     d, m = guess.dims, guess.n_pieces
     tau0 = objective.time_to_tau(clamp_durations(guess.durations, transform), transform)
     x0 = np.concatenate([guess.waypoints.flatten(order="F"), tau0])

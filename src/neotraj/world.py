@@ -120,8 +120,11 @@ def generate_scene(
             raise ValueError("need either preset or (count, width_range)")
         name = "custom"
 
-    rng = np.random.default_rng(seed)
     xmin, ymin, xmax, ymax = OBSTACLE_REGION
+    widest = min(xmax - xmin, ymax - ymin)  # an obstacle must fit inside the region
+    if not 0.0 < width_range[0] <= width_range[1] <= widest:
+        raise ValueError(f"widths need 0 < min <= max <= {widest:g} m, got {tuple(width_range)}")
+    rng = np.random.default_rng(seed)
     centers: list[tuple[float, float]] = []
     obstacles: list[tuple[float, float, float]] = []
     attempts = 0
@@ -148,7 +151,7 @@ class GridWorld:
     no obstacle reads DIST_CAP everywhere, a fully occupied one -DIST_CAP.
     """
 
-    def __init__(self, spec: SceneSpec, resolution: float = 0.1):
+    def __init__(self, spec: SceneSpec, resolution: float):
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         self.spec = spec
@@ -278,12 +281,7 @@ class GridWorld:
         return self.distance_at(point) < radius
 
     def raycast_scan(
-        self,
-        position,
-        heading: float,
-        n_rays: int = 64,
-        fov_deg: float = 87.0,
-        max_range: float = 5.0,
+        self, position, heading: float, n_rays: int, fov_deg: float, max_range: float
     ) -> np.ndarray:
         """Depths of n_rays rays spanning the FOV centered on `heading`.
 

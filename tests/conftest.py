@@ -5,6 +5,13 @@ from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
 from neotraj.config import RunConfig
 from neotraj.world import GridWorld, SceneSpec, generate_scene
 
+# the default configuration, for direct library calls that need its values
+RC = RunConfig()
+# RC's values in the positional order of ObjectiveSetup, solver.plan and expert_plan
+SETUP_ARGS = (RC.weights, RC.penalty, RC.transform, RC.s_order)
+PLAN_ARGS = (RC.weights, RC.penalty, RC.transform, RC.solver, RC.s_order)
+EXPERT_ARGS = (RC.m_pieces, *PLAN_ARGS[:4], RC.deform_amplitude, RC.cruise_fraction, RC.s_order)
+
 
 @pytest.fixture(scope="session")
 def default_setup() -> RunConfig:
@@ -13,12 +20,12 @@ def default_setup() -> RunConfig:
 
 @pytest.fixture(scope="session")
 def empty_world() -> GridWorld:
-    return GridWorld(SceneSpec())
+    return GridWorld(SceneSpec(), RC.resolution)
 
 
 @pytest.fixture(scope="session")
 def scene4_world() -> GridWorld:
-    return GridWorld(generate_scene(preset=4, seed=3))
+    return GridWorld(generate_scene(preset=4, seed=3), RC.resolution)
 
 
 @pytest.fixture()
@@ -41,7 +48,7 @@ def random_instance(rng, m=3, d=2, scale=2.0):
 
 def make_trajectory(rng, m=3, d=2):
     init, target, params = random_instance(rng, m, d)
-    return solve_coeffs(init, target, params), init, target, params
+    return solve_coeffs(init, target, params, RC.s_order), init, target, params
 
 
 @pytest.fixture()

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import EXPERT_ARGS, RC, random_instance
 from neotraj.cli import main as cli_main
 from neotraj.initializers import InitStrategy, expert_plan
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
@@ -99,7 +99,7 @@ def test_criterion_2_minco_exactness(rng):
     for _ in range(100):
         m = int(rng.integers(1, 5))
         init, target, params = random_instance(rng, m=m)
-        traj = solve_coeffs(init, target, params)
+        traj = solve_coeffs(init, target, params, RC.s_order)
         for d in range(2):
             for k in range(3):
                 worst = max(worst, abs(poly_eval(traj.coefficients[0][:, d], 0.0, k)
@@ -122,7 +122,7 @@ def test_criterion_2_minco_exactness(rng):
     from test_minco import effort_by_quadrature, feasible_constraint_matrix
 
     init, target, params = random_instance(rng, m=3)
-    traj = solve_coeffs(init, target, params)
+    traj = solve_coeffs(init, target, params, RC.s_order)
     base = effort_by_quadrature(traj)
     null = scipy.linalg.null_space(feasible_constraint_matrix(params, m=3))
     flat = np.vstack(traj.coefficients)
@@ -140,8 +140,8 @@ def test_criterion_2_minco_exactness(rng):
     # closed-form min-jerk effort
     d, T = 2.5, 1.7
     quintic = solve_coeffs(BoundaryState([0.0], [0.0]), BoundaryState([d], [0.0]),
-                           TrajParams(np.zeros((1, 0)), [T]))
-    cost, _, _ = control_effort(quintic)
+                           TrajParams(np.zeros((1, 0)), [T]), RC.s_order)
+    cost, _, _ = control_effort(quintic, RC.s_order)
     rel = abs(cost - 720 * d * d / T**5) / (720 * d * d / T**5)
     assert rel < 1e-9
     print(f"ACCEPTANCE 2 (minco exactness): PASS - residual {worst:.2e}, "
@@ -184,10 +184,10 @@ def test_criterion_4_generalization(bench_grid):
 
 
 def test_criterion_5_multimodality():
-    world = GridWorld(SceneSpec(obstacles=[(3.0, 0.0, 1.0)]))
+    world = GridWorld(SceneSpec(obstacles=[(3.0, 0.0, 1.0)]), RC.resolution)
     init = BoundaryState([0.0, 0.0], [0.0, 0.0])
     target = BoundaryState([6.0, 0.0], [0.0, 0.0])
-    result, chosen, costs = expert_plan(world, init, target)
+    result, chosen, costs = expert_plan(world, init, target, *EXPERT_ARGS)
     spread = (max(costs) - min(costs)) / min(costs)
     assert spread > 0.05, f"seed costs {costs} differ by only {spread:.1%}"
     assert result.cost <= min(costs) + 1e-3
@@ -213,7 +213,7 @@ def test_criterion_6_latency_tolerance(acceptance_dir):
 
     # commanded-position continuity whenever latency <= foreseeing horizon
     rc = RunConfig.from_dict({"latency": 0.8, "foresee": 1.0})
-    world = GridWorld(generate_scene(preset=1, seed=0))
+    world = GridWorld(generate_scene(preset=1, seed=0), rc.resolution)
     rep = run_episode(world, InitStrategy("geo"), rc, seed=0)
     bound = rc.penalty.v_max * (1.0 / 60.0) * 2.0 + 1e-6
     assert rep.max_command_jump < bound

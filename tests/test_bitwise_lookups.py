@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import RC
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
 from neotraj.replan import CommittedTrajectory
 from neotraj.world import GridWorld, SceneSpec
@@ -170,10 +171,11 @@ def test_lookups_equal_reference_on_dense_sample(name, scene4_world, rng):
 def test_raycast_depths_unchanged_by_scalar_cell_index(scene4_world, rng, monkeypatch):
     positions = [(rng.uniform(-1.5, 31.5), rng.uniform(-5.5, 5.5)) for _ in range(20)]
     headings = rng.uniform(-np.pi, np.pi, size=20)
-    scans = [scene4_world.raycast_scan(p, h) for p, h in zip(positions, headings)]
+    rays = (RC.n_rays, RC.fov_deg, RC.max_range)
+    scans = [scene4_world.raycast_scan(p, h, *rays) for p, h in zip(positions, headings)]
     monkeypatch.setattr(GridWorld, "cell_index", reference_cell_index)
     for p, h, scan in zip(positions, headings, scans):
-        assert np.array_equal(scan, scene4_world.raycast_scan(p, h))
+        assert np.array_equal(scan, scene4_world.raycast_scan(p, h, *rays))
 
 
 # --- the per-tick state query against three eval calls, bitwise --------------

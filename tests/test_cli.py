@@ -246,6 +246,10 @@ def one_error_line(capsys) -> bool:
     (["scene", "--out", "s.json"], 1),  # neither --preset nor --count
     (["train", "--data", "empty.jsonl", "--out", "m.json"], 2),
     (["bench", "--scenes", "4", "--runs", 1, "--inits", "neo", "--out-dir", "b"], 1),
+    # obstacle widths that are negative, reversed, or wider than the obstacle region
+    (["scene", "--count", 2, "--width-min", -1.0, "--width-max", -0.5, "--out", "s.json"], 1),
+    (["scene", "--count", 2, "--width-min", 1.0, "--width-max", 0.2, "--out", "s.json"], 1),
+    (["scene", "--count", 2, "--width-min", 0.5, "--width-max", 50, "--out", "s.json"], 1),
 ])
 def test_errors_reach_main_as_one_line(tmp_path, monkeypatch, capsys, args, code):
     monkeypatch.chdir(tmp_path)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import make_trajectory, random_instance
+from conftest import RC, make_trajectory, random_instance
 from neotraj.errors import NonPositiveDuration, OutOfDomain, ShapeMismatch, SingularSystem
 from neotraj.minco import (
     BandedSystem,
@@ -25,6 +25,11 @@ from neotraj.minco import (
     propagate_gradients,
     solve_coeffs,
 )
+
+
+def system_of(durations):
+    """The factorizations of A(durations) that propagate_gradients solves with."""
+    return BandedSystem(durations, RC.s_order)
 
 
 def poly_eval(coeffs_1d, t, order=0):
@@ -47,7 +52,8 @@ def test_min_jerk_quintic_matches_dense_solve():
     dense = np.linalg.solve(a, b)
 
     traj = solve_coeffs(
-        BoundaryState([0.0], [0.0]), BoundaryState([1.0], [0.0]), TrajParams(np.zeros((1, 0)), [1.0])
+        BoundaryState([0.0], [0.0]), BoundaryState([1.0], [0.0]), TrajParams(np.zeros((1, 0)), [1.0]),
+        RC.s_order,
     )
     got = traj.coefficients[0].ravel()
     assert np.allclose(got, dense, atol=1e-10)
@@ -57,7 +63,7 @@ def test_min_jerk_quintic_matches_dense_solve():
 def test_zero_boundary_gives_zero_trajectory():
     z = BoundaryState([0.0, 0.0], [0.0, 0.0])
     params = TrajParams(np.zeros((2, 3)), [0.7, 1.3, 2.1, 0.9])
-    traj = solve_coeffs(z, z, params)
+    traj = solve_coeffs(z, z, params, RC.s_order)
     for c in traj.coefficients:
         assert np.allclose(c, 0.0)
     for t in (0.0, 1.0, 3.7):
@@ -67,7 +73,8 @@ def test_zero_boundary_gives_zero_trajectory():
 def test_two_piece_interpolation_and_mirror_symmetry():
     init = BoundaryState([0.0, 0.0], [0.0, 0.0])
     target = BoundaryState([2.0, 0.0], [0.0, 0.0])
-    traj = solve_coeffs(init, target, TrajParams(np.array([[1.0], [0.0]]), [1.0, 1.0]))
+    params = TrajParams(np.array([[1.0], [0.0]]), [1.0, 1.0])
+    traj = solve_coeffs(init, target, params, RC.s_order)
     assert np.allclose(traj.eval(1.0), [1.0, 0.0], atol=1e-10)
     for t in (0.2, 0.55, 0.91):
         assert traj.eval(t)[0] == pytest.approx(2.0 - traj.eval(2.0 - t)[0], abs=1e-9)
@@ -75,7 +82,8 @@ def test_two_piece_interpolation_and_mirror_symmetry():
 
 def test_eval_examples_and_domain():
     traj = solve_coeffs(
-        BoundaryState([0.0], [0.0]), BoundaryState([1.0], [0.0]), TrajParams(np.zeros((1, 0)), [1.0])
+        BoundaryState([0.0], [0.0]), BoundaryState([1.0], [0.0]), TrajParams(np.zeros((1, 0)), [1.0]),
+        RC.s_order,
     )
     assert traj.eval(0.5, 0)[0] == pytest.approx(0.5, abs=1e-12)
     # d/dt (10t^3 - 15t^4 + 6t^5) at 0.5 = 30*.25 - 60*.125 + 30*.0625
@@ -90,7 +98,7 @@ def test_eval_examples_and_domain():
 def test_nonpositive_duration_rejected():
     z = BoundaryState([0.0], [0.0])
     with pytest.raises(NonPositiveDuration):
-        solve_coeffs(z, z, TrajParams(np.zeros((1, 1)), [1.0, 0.0]))
+        solve_coeffs(z, z, TrajParams(np.zeros((1, 1)), [1.0, 0.0]), RC.s_order)
 
 
 def test_constraint_residuals_on_random_instances(rng):
@@ -98,7 +106,7 @@ def test_constraint_residuals_on_random_instances(rng):
     for _ in range(100):
         m = int(rng.integers(1, 5))
         init, target, params = random_instance(rng, m=m)
-        traj = solve_coeffs(init, target, params)
+        traj = solve_coeffs(init, target, params, RC.s_order)
         for d in range(2):
             c0 = traj.coefficients[0][:, d]
             cm = traj.coefficients[-1][:, d]
@@ -173,8 +181,8 @@ def test_time_scaling_consistency():
     target = BoundaryState([5.0, -1.0], [0.0, 0.0])
     q = np.array([[1.5, 3.5], [0.5, -0.5]])
     tb = np.array([1.0, 1.4, 0.8])
-    slow = solve_coeffs(init, target, TrajParams(q, 2 * tb))
-    fast = solve_coeffs(init, target, TrajParams(q, tb))
+    slow = solve_coeffs(init, target, TrajParams(q, 2 * tb), RC.s_order)
+    fast = solve_coeffs(init, target, TrajParams(q, tb), RC.s_order)
     for t in np.linspace(0, tb.sum(), 17):
         assert np.allclose(slow.eval(2 * t), fast.eval(t), atol=1e-8)
 
@@ -183,7 +191,7 @@ def test_propagate_zero_cost_gradient_is_identity_on_time(rng):
     traj, init, target, params = make_trajectory(rng)
     v = rng.normal(size=3)
     zero = [np.zeros((6, 2)) for _ in range(3)]
-    dq, dt = propagate_gradients(traj, zero, v, params)
+    dq, dt = propagate_gradients(traj, zero, v, system_of(params.durations))
     assert np.allclose(dq, 0.0)
     assert np.allclose(dt, v)
 
@@ -191,21 +199,21 @@ def test_propagate_zero_cost_gradient_is_identity_on_time(rng):
 def test_propagate_shape_checks(rng):
     traj, init, target, params = make_trajectory(rng)
     with pytest.raises(ShapeMismatch):
-        propagate_gradients(traj, [np.zeros((5, 2))] * 3, np.zeros(3), params)
+        propagate_gradients(traj, [np.zeros((5, 2))] * 3, np.zeros(3), system_of(params.durations))
     with pytest.raises(ShapeMismatch):
-        propagate_gradients(traj, [np.zeros((6, 2))] * 3, np.zeros(4), params)
+        propagate_gradients(traj, [np.zeros((6, 2))] * 3, np.zeros(4), system_of(params.durations))
 
 
 def _fd_check_h(make_cost, init, target, q0, tb0, h=1e-6):
     """Central-difference oracle for H(Q, tbar) = K(C(Q, tbar), tbar)."""
 
     def h_of(q, tb):
-        traj = solve_coeffs(init, target, TrajParams(q, tb))
+        traj = solve_coeffs(init, target, TrajParams(q, tb), RC.s_order)
         return make_cost(traj, tb)[0]
 
-    traj = solve_coeffs(init, target, TrajParams(q0, tb0))
+    traj = solve_coeffs(init, target, TrajParams(q0, tb0), RC.s_order)
     _, dk_dc, dk_dt = make_cost(traj, tb0)
-    dq, dt = propagate_gradients(traj, dk_dc, dk_dt, TrajParams(q0, tb0))
+    dq, dt = propagate_gradients(traj, dk_dc, dk_dt, system_of(tb0))
     worst = 0.0
     for idx in np.ndindex(q0.shape):
         qp, qm = q0.copy(), q0.copy()
@@ -257,9 +265,9 @@ def test_waypoint_gradient_of_knot_position_cost(rng):
         dk_dt = np.array([2.0 * q1 * float(traj.eval(traj.start_times[1], 1)[0]), 0.0])
         return q1**2, dk_dc, dk_dt
 
-    traj = solve_coeffs(init, target, TrajParams(q, tb))
+    traj = solve_coeffs(init, target, TrajParams(q, tb), RC.s_order)
     _, dk_dc, dk_dt = knot_cost(traj, tb)
-    dq, _ = propagate_gradients(traj, dk_dc, dk_dt, TrajParams(q, tb))
+    dq, _ = propagate_gradients(traj, dk_dc, dk_dt, system_of(tb))
     assert dq[0, 0] == pytest.approx(2.0 * q[0, 0], rel=1e-9)
     assert _fd_check_h(knot_cost, init, target, q, tb) < 1e-5
 
@@ -321,17 +329,17 @@ def test_template_matches_reference_assembly(rng, m):
         init, target, params = random_instance(rng, m=m)
         tb = params.durations
         a_ref, deps = reference_system(tb)
-        ab, lower, upper = band_matrix(tb)
+        ab, lower, upper = band_matrix(tb, RC.s_order)
         assert np.array_equal(ab[lower:], to_band(a_ref, lower, upper))
 
         c_ref = scipy.linalg.solve_banded(
             (lower, upper), to_band(a_ref, lower, upper), reference_rhs(init, target, params))
-        traj = solve_coeffs(init, target, params)
+        traj = solve_coeffs(init, target, params, RC.s_order)
         assert np.array_equal(traj.coefficients.reshape(c_ref.shape), c_ref)
 
         dk_dc = rng.normal(size=(m, 6, 2))
         dk_dt = rng.normal(size=m)
-        abt, lower_t, upper_t = band_matrix(tb, transpose=True)
+        abt, lower_t, upper_t = band_matrix(tb, RC.s_order, transpose=True)
         assert (lower_t, upper_t) == (upper, lower)
         assert np.array_equal(abt[upper:], to_band(a_ref.T, upper, lower))
         g = scipy.linalg.solve_banded(
@@ -342,7 +350,7 @@ def test_template_matches_reference_assembly(rng, m):
             dt_ref[piece] -= g[row] @ dvec
         dq_ref = np.array([g[3 + 6 * i + 4] + g[3 + 6 * i + 5] for i in range(m - 1)]).T
         for grads in (dk_dc, list(dk_dc)):  # stacked array or per-piece list
-            dq, dt = propagate_gradients(traj, grads, dk_dt, params)
+            dq, dt = propagate_gradients(traj, grads, dk_dt, system_of(params.durations))
             assert np.array_equal(dt, dt_ref)
             assert dq.shape == (2, m - 1) and np.array_equal(dq, dq_ref.reshape(2, m - 1))
 
@@ -351,7 +359,7 @@ def test_template_matches_reference_assembly(rng, m):
 def test_nonfinite_waypoints_raise_singular(bad):
     z = BoundaryState([0.0, 0.0], [0.0, 0.0])
     with pytest.raises(SingularSystem):
-        solve_coeffs(z, z, TrajParams(np.array([[bad], [0.0]]), [1.0, 1.0]))
+        solve_coeffs(z, z, TrajParams(np.array([[bad], [0.0]]), [1.0, 1.0]), RC.s_order)
 
 
 def test_degenerate_durations_raise_singular():

@@ -6,12 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import RC
 from neotraj.errors import EmptyDataset, ModelShapeMismatch, ShapeMismatch
 from neotraj.minco import BoundaryState
 from neotraj.neural import (
     AdamState,
     MlpModel,
-    NormConstants,
     TrainConfig,
     adam_step,
     decode_output,
@@ -24,10 +24,11 @@ from neotraj.neural import (
 from neotraj.objective import TimeTransform
 
 TF = TimeTransform()
+NORM = RC.norm_constants()
 
 
 def zero_model(**kw):
-    model = MlpModel(**kw)
+    model = MlpModel(NORM, **kw)
     for name in model.layers:
         model.layers[name] = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers[name]]
     return model
@@ -39,7 +40,7 @@ def test_forward_zero_weights():
 
 
 def test_forward_linear_output_scaling(rng):
-    model = MlpModel(seed=4)
+    model = MlpModel(NORM, seed=4)
     x = rng.normal(size=76)
     y1 = model.forward(x)
     w, b = model.layers["head"][-1]
@@ -49,26 +50,26 @@ def test_forward_linear_output_scaling(rng):
 
 def test_forward_deterministic(rng):
     x = rng.normal(size=(3, 76))
-    a = MlpModel(seed=9).forward(x)
-    b = MlpModel(seed=9).forward(x)
+    a = MlpModel(NORM, seed=9).forward(x)
+    b = MlpModel(NORM, seed=9).forward(x)
     assert np.array_equal(a, b)
 
 
 def test_forward_shape_check():
     with pytest.raises(ShapeMismatch):
-        MlpModel().forward(np.zeros(75))
+        MlpModel(NORM).forward(np.zeros(75))
 
 
 def test_default_architecture_sizes():
-    model = MlpModel()
+    model = MlpModel(NORM)
     assert model.n_inputs == 76
     assert model.n_outputs == 7
     with pytest.raises(ModelShapeMismatch):
-        MlpModel(head_sizes=(40, 96, 7))
+        MlpModel(NORM, head_sizes=(40, 96, 7))
 
 
 def test_backward_zero_at_perfect_fit(rng):
-    model = MlpModel(seed=1)
+    model = MlpModel(NORM, seed=1)
     x = rng.normal(size=(4, 76))
     y = model.forward(x)
     loss, grads = model.backward(x, y)
@@ -77,7 +78,7 @@ def test_backward_zero_at_perfect_fit(rng):
 
 
 def test_backward_matches_fd_small_model(rng):
-    model = MlpModel(depth_sizes=[2, 2], inertial_sizes=[1, 2], head_sizes=[4, 3, 1], seed=3)
+    model = MlpModel(NORM, depth_sizes=[2, 2], inertial_sizes=[1, 2], head_sizes=[4, 3, 1], seed=3)
     x = rng.normal(size=(5, 3))
     y = rng.normal(size=(5, 1))
     loss, grads = model.backward(x, y)
@@ -129,7 +130,7 @@ def test_adam_first_step_and_zero_grad():
 
 def test_adam_reproducible(rng):
     def run():
-        model = MlpModel(depth_sizes=[2, 2], inertial_sizes=[1, 2], head_sizes=[4, 2], seed=5)
+        model = MlpModel(NORM, depth_sizes=[2, 2], inertial_sizes=[1, 2], head_sizes=[4, 2], seed=5)
         cfg = TrainConfig(seed=5, epochs=3, batch_size=4)
         x = np.random.default_rng(0).normal(size=(8, 3))
         y = np.random.default_rng(1).normal(size=(8, 2))
@@ -147,7 +148,7 @@ def test_train_overfit_small_dataset(rng):
     x = rng.normal(size=(64, 76))
     y = rng.normal(size=(64, 7)) * 0.5
     recs = [{"obs": a.tolist(), "target": b.tolist()} for a, b in zip(x, y)]
-    model, curve = train(recs, TrainConfig(epochs=500, seed=0))
+    model, curve = train(recs, TrainConfig(epochs=500, seed=0), MlpModel(NORM, seed=0))
     assert curve[-1]["train_mse"] < 1e-3
     assert all(np.isfinite(c["train_mse"]) and np.isfinite(c["val_mse"]) for c in curve)
 
@@ -159,17 +160,17 @@ def test_train_constant_target(rng):
     x = np.hstack([np.ones((n, 64)), rng.normal(scale=0.3, size=(n, 12))])
     y = np.tile(np.array([0.3, -0.2, 0.5, 0.1, 0.0, -0.4, 0.2]), (n, 1))
     recs = [{"obs": a.tolist(), "target": b.tolist()} for a, b in zip(x, y)]
-    model, curve = train(recs, TrainConfig(epochs=100, seed=1))
+    model, curve = train(recs, TrainConfig(epochs=100, seed=1), MlpModel(NORM, seed=1))
     assert min(c["val_mse"] for c in curve) < 1e-4
 
 
 def test_train_empty_dataset():
     with pytest.raises(EmptyDataset):
-        train([], TrainConfig())
+        train([], TrainConfig(), MlpModel(NORM))
 
 
 def test_model_json_roundtrip(tmp_path, rng):
-    model = MlpModel(seed=2, norm=NormConstants(d_look=6.0))
+    model = MlpModel(NORM, seed=2)
     path = tmp_path / "model.json"
     model.save(path)
     loaded = MlpModel.load(path)
@@ -183,7 +184,7 @@ def test_model_json_roundtrip(tmp_path, rng):
 
 @pytest.mark.parametrize("damage", ["missing_layer", "transposed_weight"])
 def test_model_from_dict_rejects_bad_branch_shapes(damage):
-    doc = MlpModel(seed=0).to_dict()
+    doc = MlpModel(NORM, seed=0).to_dict()
     if damage == "missing_layer":
         doc["params"]["inertial"].pop()
     else:
@@ -201,7 +202,7 @@ def test_committed_model_file_saves_back_byte_identical(tmp_path):
 
 
 def test_backward_loss_is_the_forward_pass_mse(rng):
-    model = MlpModel(seed=4)
+    model = MlpModel(NORM, seed=4)
     x, y = rng.normal(size=(5, 76)), rng.normal(size=(5, 7))
     loss, _ = model.backward(x, y)
     assert loss == float(np.mean((model.forward(x) - y) ** 2))
@@ -222,7 +223,7 @@ def test_encode_decode_roundtrip(rng):
     # lossless inside the decode corridor (body x in [-0.3, 1.3], |y| <= 0.6)
     from neotraj.neural import rotation
 
-    norm = NormConstants()
+    norm = NORM
     for _ in range(10):
         pos = rng.normal(size=2)
         heading = rng.uniform(-np.pi, np.pi)
@@ -236,7 +237,7 @@ def test_encode_decode_roundtrip(rng):
 
 
 def test_observation_layout():
-    norm = NormConstants()
+    norm = NORM
     scan = np.full(64, 2.5)
     init = BoundaryState([1.0, 0.0], [0.5, 0.0])
     target = BoundaryState([7.0, 0.0], [1.0, 0.0])
@@ -250,4 +251,4 @@ def test_observation_layout():
 
 def test_decode_output_shape_check():
     with pytest.raises(ModelShapeMismatch):
-        decode_output(np.zeros(6), np.zeros(2), 0.0, TF, NormConstants())
+        decode_output(np.zeros(6), np.zeros(2), 0.0, TF, NORM)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import RC, SETUP_ARGS, random_instance
 from neotraj.errors import OutOfRange, WorldMissingDistanceField
 from neotraj.minco import BoundaryState, TrajParams, Trajectory, solve_coeffs
 from neotraj.objective import (
@@ -27,7 +27,7 @@ from neotraj.world import GridWorld, SceneSpec
 
 def test_control_effort_zero_trajectory():
     traj = Trajectory([np.zeros((6, 2))], [1.0])
-    cost, dc, dt = control_effort(traj)
+    cost, dc, dt = control_effort(traj, RC.s_order)
     assert cost == 0.0
     assert np.allclose(dc[0], 0.0) and np.allclose(dt, 0.0)
 
@@ -35,17 +35,18 @@ def test_control_effort_zero_trajectory():
 @pytest.mark.parametrize("d,T", [(1.0, 1.0), (2.5, 1.7), (-3.0, 0.8)])
 def test_control_effort_min_jerk_closed_form(d, T):
     traj = solve_coeffs(
-        BoundaryState([0.0], [0.0]), BoundaryState([d], [0.0]), TrajParams(np.zeros((1, 0)), [T])
+        BoundaryState([0.0], [0.0]), BoundaryState([d], [0.0]), TrajParams(np.zeros((1, 0)), [T]),
+        RC.s_order,
     )
-    cost, _, _ = control_effort(traj)
+    cost, _, _ = control_effort(traj, RC.s_order)
     assert cost == pytest.approx(720 * d * d / T**5, rel=1e-9)
 
 
 def test_control_effort_matches_quadrature(rng):
     for _ in range(10):
         init, target, params = random_instance(rng)
-        traj = solve_coeffs(init, target, params)
-        cost, _, _ = control_effort(traj)
+        traj = solve_coeffs(init, target, params, RC.s_order)
+        cost, _, _ = control_effort(traj, RC.s_order)
         # numerical quadrature oracle
         total = 0.0
         for i in range(traj.n_pieces):
@@ -68,7 +69,7 @@ def test_obstacle_cost_empty_world(empty_world, rng):
         init = BoundaryState([10.0, 0.0] + rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2))
         target = BoundaryState([16.0, 0.0] + rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2))
         q = np.column_stack([rng.uniform([11, -3], [15, 3]) for _ in range(2)])
-        traj = solve_coeffs(init, target, TrajParams(q, rng.uniform(1.5, 3.0, 3)))
+        traj = solve_coeffs(init, target, TrajParams(q, rng.uniform(1.5, 3.0, 3)), RC.s_order)
         cost, dc, dt = obstacle_cost(traj, empty_world, PenaltyConfig())
         assert cost == 0.0
         assert all(np.allclose(g, 0.0) for g in dc) and np.allclose(dt, 0.0)
@@ -76,8 +77,8 @@ def test_obstacle_cost_empty_world(empty_world, rng):
 
 def test_obstacle_cost_missing_field(rng):
     init, target, params = random_instance(rng)
-    traj = solve_coeffs(init, target, params)
-    world = GridWorld(SceneSpec())
+    traj = solve_coeffs(init, target, params, RC.s_order)
+    world = GridWorld(SceneSpec(), RC.resolution)
     world.field = None
     with pytest.raises(WorldMissingDistanceField):
         obstacle_cost(traj, world, PenaltyConfig())
@@ -86,7 +87,7 @@ def test_obstacle_cost_missing_field(rng):
 def test_obstacle_cost_against_dense_quadrature():
     # straight constant-speed pass 0.2 m from a pole's edge
     spec = SceneSpec(obstacles=[(5.0, 0.7, 1.0)])
-    world = GridWorld(spec)
+    world = GridWorld(spec, RC.resolution)
     coef = np.zeros((6, 2))
     coef[0, 0] = 3.0
     coef[1, 0] = 1.0
@@ -100,7 +101,7 @@ def test_obstacle_cost_against_dense_quadrature():
 def test_feasibility_zero_within_limits(rng):
     init = BoundaryState([0.0, 0.0], [0.0, 0.0])
     target = BoundaryState([1.0, 0.0], [0.0, 0.0])
-    traj = solve_coeffs(init, target, TrajParams(np.array([[0.5], [0.0]]), [2.0, 2.0]))
+    traj = solve_coeffs(init, target, TrajParams(np.array([[0.5], [0.0]]), [2.0, 2.0]), RC.s_order)
     cost, dc, dt = feasibility_cost(traj, PenaltyConfig())
     assert cost == 0.0
     assert all(np.allclose(g, 0.0) for g in dc) and np.allclose(dt, 0.0)
@@ -153,7 +154,8 @@ def test_total_objective_time_only(empty_world):
         BoundaryState([0.0, 0.0], [0.0, 0.0]),
         BoundaryState([3.0, 0.0], [0.0, 0.0]),
         empty_world,
-        weights=CostWeights(0.0, 1.0, 0.0, 0.0),
+        CostWeights(0.0, 1.0, 0.0, 0.0),
+        *SETUP_ARGS[1:],
     )
     tau = np.array([0.3, -0.2, 0.9])
     h, dq, dtau = total_objective(np.zeros((2, 2)), tau, setup)
@@ -166,16 +168,17 @@ def test_total_objective_empty_world_zero_obstacle_term(empty_world):
     target = BoundaryState([6.0, 0.0], [0.0, 0.0])
     q = np.array([[2.0, 4.0], [0.0, 0.0]])
     tau = np.zeros(3)
-    with_obs = total_objective(q, tau, ObjectiveSetup(init, target, empty_world))[0]
+    with_obs = total_objective(q, tau, ObjectiveSetup(init, target, empty_world, *SETUP_ARGS))[0]
     no_obs = total_objective(
-        q, tau, ObjectiveSetup(init, target, empty_world, weights=CostWeights(1, 1, 0, 1))
+        q, tau, ObjectiveSetup(init, target, empty_world, CostWeights(1, 1, 0, 1), *SETUP_ARGS[1:])
     )[0]
     assert with_obs == pytest.approx(no_obs, abs=1e-12)
 
 
 def test_total_objective_pure(scene4_world):
     setup = ObjectiveSetup(
-        BoundaryState([1.0, 0.2], [0.5, 0.0]), BoundaryState([7.0, -0.4], [0.6, 0.1]), scene4_world
+        BoundaryState([1.0, 0.2], [0.5, 0.0]), BoundaryState([7.0, -0.4], [0.6, 0.1]), scene4_world,
+        *SETUP_ARGS,
     )
     q = np.array([[3.0, 5.0], [0.4, -0.2]])
     tau = np.array([0.1, -0.3, 0.2])
@@ -188,9 +191,9 @@ def test_total_objective_pure(scene4_world):
 def test_all_terms_nonnegative_and_finite(scene4_world, rng):
     for _ in range(20):
         init, target, params = random_instance(rng)
-        traj = solve_coeffs(init, target, params)
+        traj = solve_coeffs(init, target, params, RC.s_order)
         for cost in (
-            control_effort(traj)[0],
+            control_effort(traj, RC.s_order)[0],
             time_cost(params.durations)[0],
             obstacle_cost(traj, scene4_world, PenaltyConfig())[0],
             feasibility_cost(traj, PenaltyConfig())[0],
@@ -201,8 +204,9 @@ def test_all_terms_nonnegative_and_finite(scene4_world, rng):
 def test_piecewise_accumulation(scene4_world, rng):
     # each term equals the sum of its single-piece evaluations
     init, target, params = random_instance(rng)
-    traj = solve_coeffs(init, target, params)
-    for term in (control_effort, lambda t: feasibility_cost(t, PenaltyConfig()),
+    traj = solve_coeffs(init, target, params, RC.s_order)
+    for term in (lambda t: control_effort(t, RC.s_order),
+                 lambda t: feasibility_cost(t, PenaltyConfig()),
                  lambda t: obstacle_cost(t, scene4_world, PenaltyConfig())):
         total = term(traj)[0]
         parts = 0.0
@@ -232,7 +236,8 @@ def _fd_total(q, tau, setup, h=1e-6):
 
 def test_total_objective_gradients_match_fd(scene4_world, rng):
     setup = ObjectiveSetup(
-        BoundaryState([2.0, 0.3], [0.8, 0.1]), BoundaryState([8.0, -0.5], [0.5, -0.2]), scene4_world
+        BoundaryState([2.0, 0.3], [0.8, 0.1]), BoundaryState([8.0, -0.5], [0.5, -0.2]), scene4_world,
+        *SETUP_ARGS,
     )
     worst = 0.0
     for _ in range(25):
@@ -249,7 +254,7 @@ def test_total_objective_gradients_match_fd_per_piece_count(scene4_world, rng, m
 
     init = BoundaryState([2.0, 0.3], [0.8, 0.1])
     target = BoundaryState([8.0, -0.5], [0.5, -0.2])
-    setup = ObjectiveSetup(init, target, scene4_world)
+    setup = ObjectiveSetup(init, target, scene4_world, *SETUP_ARGS)
     line = init.position[:, None] + np.outer(target.position - init.position, np.arange(1, m) / m)
     worst, checked = 0.0, 0
     while checked < 10:
@@ -327,9 +332,10 @@ def test_batched_terms_equal_piecewise_loop(scene4_world, rng, m):
         target = BoundaryState([8.0, -0.5] + rng.normal(scale=0.3, size=2), rng.normal(size=2))
         line = np.linspace(init.position, target.position, m + 1)[1:-1].T
         q = line + rng.normal(scale=1.0, size=line.shape)
-        traj = solve_coeffs(init, target, TrajParams(q, rng.uniform(0.6, 3.5, size=m)))
+        traj = solve_coeffs(init, target, TrajParams(q, rng.uniform(0.6, 3.5, size=m)), RC.s_order)
         ref = _loop_terms(traj, scene4_world, cfg)
-        for key, got in (("e", control_effort(traj)), ("o", obstacle_cost(traj, scene4_world, cfg)),
+        for key, got in (("e", control_effort(traj, RC.s_order)),
+                         ("o", obstacle_cost(traj, scene4_world, cfg)),
                          ("f", feasibility_cost(traj, cfg))):
             if key in active:
                 active[key] += ref[key][0] > 0.0

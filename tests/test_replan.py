@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import RC
 from neotraj.config import RunConfig
 from neotraj.errors import ActivationInPast, NoFreeCell
 from neotraj.initializers import InitStrategy
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
 from neotraj.replan import (
     CommittedTrajectory,
+    EpisodeReport,
     derive_seed,
     run_episode,
     select_local_goal,
@@ -22,7 +24,8 @@ def straight_traj(p0, p1, duration):
     init = BoundaryState(p0, [0.0, 0.0])
     target = BoundaryState(p1, [0.0, 0.0])
     mid = (np.asarray(p0) + np.asarray(p1)) / 2.0
-    return solve_coeffs(init, target, TrajParams(mid[:, None], [duration / 2, duration / 2]))
+    params = TrajParams(mid[:, None], [duration / 2, duration / 2])
+    return solve_coeffs(init, target, params, RC.s_order)
 
 
 def test_committed_hover_before_first_activation():
@@ -54,6 +57,7 @@ def test_splice_continuity_when_planned_from_foreseen_state():
         BoundaryState(p, v, a),
         BoundaryState([4.0, 0.0], [0.0, 0.0]),
         TrajParams(((p + [4.0, 0.0]) / 2)[:, None], [2.0, 2.0]),
+        RC.s_order,
     )
     c.add(t_x + foresee, new)
     eps = 1e-7
@@ -80,7 +84,7 @@ def test_select_local_goal_terminal(empty_world):
 
 
 def test_select_local_goal_moves_off_obstacle():
-    world = GridWorld(SceneSpec(obstacles=[(6.0, 0.0, 1.0)]))
+    world = GridWorld(SceneSpec(obstacles=[(6.0, 0.0, 1.0)]), RC.resolution)
     s = select_local_goal(world, [0.0, 0.0], [30.0, 0.0], RunConfig())
     assert world.distance_at(s.position) >= 0.4
     assert np.linalg.norm(s.position - np.array([6.0, 0.0])) <= 2.0
@@ -93,7 +97,7 @@ def test_select_local_goal_no_free_cell():
         for x in np.arange(-3.0, 33.5, 1.8)
         for y in np.arange(-7.0, 7.5, 1.8)
     ]
-    world = GridWorld(SceneSpec(obstacles=lattice))
+    world = GridWorld(SceneSpec(obstacles=lattice), RC.resolution)
     assert float(world.field.max()) < 0.4
     with pytest.raises(NoFreeCell):
         select_local_goal(world, [0.0, -0.6], [30.0, -0.6], RunConfig())
@@ -109,6 +113,18 @@ def test_episode_empty_map_success(empty_world, default_setup):
     assert abs(rep.replan_count - rep.flight_time / 1.0) <= 1.5
 
 
+def test_report_json_keys():
+    # every simulated-clock field, without the in-memory wall times and 2 Hz samples
+    doc = EpisodeReport("scene4", "baseline", 3, iterations=[4, 6]).to_json_dict()
+    assert set(doc) == {
+        "format", "scene", "strategy", "seed", "success", "failure_reason", "flight_time",
+        "path_length", "collision_samples", "feasibility_violation", "trajectory_cost",
+        "replan_count", "iterations", "mean_iterations", "plan_latencies", "late_plans",
+        "rmse_position", "rmse_velocity", "max_command_jump",
+    }
+    assert (doc["format"], doc["replan_count"], doc["mean_iterations"]) == ("neotraj-report-1", 2, 5.0)
+
+
 def test_episode_deterministic(scene4_world, default_setup):
     a = run_episode(scene4_world, InitStrategy("baseline"), default_setup, seed=5)
     b = run_episode(scene4_world, InitStrategy("baseline"), default_setup, seed=5)
@@ -117,7 +133,7 @@ def test_episode_deterministic(scene4_world, default_setup):
 
 
 def test_episode_commanded_continuity_with_latency(default_setup):
-    world = GridWorld(generate_scene(preset=6, seed=9))
+    world = GridWorld(generate_scene(preset=6, seed=9), RC.resolution)
     rc = RunConfig.from_dict({"latency": 0.8, "foresee": 1.0})
     rep = run_episode(world, InitStrategy("geo"), rc, seed=0)
     bound = rc.penalty.v_max * (1.0 / 60.0) * 2.0 + 1e-6
@@ -126,14 +142,14 @@ def test_episode_commanded_continuity_with_latency(default_setup):
 
 
 def test_episode_zero_foresight_jumps(default_setup):
-    world = GridWorld(generate_scene(preset=6, seed=9))
+    world = GridWorld(generate_scene(preset=6, seed=9), RC.resolution)
     rc = RunConfig.from_dict({"latency": 0.8, "foresee": 0.0})
     rep = run_episode(world, InitStrategy("geo"), rc, seed=0)
     assert rep.max_command_jump > 0.1
 
 
 def test_episode_latency_rmse_direction():
-    world = GridWorld(generate_scene(preset=6, seed=9))
+    world = GridWorld(generate_scene(preset=6, seed=9), RC.resolution)
     rms = {}
     for foresee in (0.0, 1.0):
         rc = RunConfig.from_dict({"latency": 0.8, "foresee": foresee})
@@ -146,7 +162,7 @@ def test_episode_latency_rmse_direction():
 def test_tracker_at_rest_stays_at_rest(empty_world):
     # no motion commanded: episode from start=goal succeeds immediately
     spec = SceneSpec(start=(0.0, 0.0), goal=(0.0, 0.0))
-    world = GridWorld(spec)
+    world = GridWorld(spec, RC.resolution)
     rep = run_episode(world, InitStrategy("baseline"), RunConfig(), seed=0)
     assert rep.success
     assert rep.flight_time == 0.0
@@ -189,7 +205,8 @@ def test_collision_samples_count_sample_rows_inside_the_drone_radius():
     # centers are (0.25, +-0.05), so distance_at(start) = 0.25 < 0.3.  Tick 0
     # replans, logs its sample row, then fails the collision test, so exactly
     # one row is logged and it lies inside the radius.
-    world = GridWorld(SceneSpec(obstacles=[(0.6, 0.0, 0.8)], start=(0.0, 0.0), goal=(6.0, 0.0)))
+    spec = SceneSpec(obstacles=[(0.6, 0.0, 0.8)], start=(0.0, 0.0), goal=(6.0, 0.0))
+    world = GridWorld(spec, RC.resolution)
     rc = RunConfig()
     assert world.distance_at(world.spec.start) == pytest.approx(0.25)
     report = run_episode(world, InitStrategy("baseline"), rc, seed=0)

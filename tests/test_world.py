@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import RC
 from neotraj.errors import PackingFailure
 from neotraj.world import (
     FIXED_PRESETS,
@@ -15,6 +16,8 @@ from neotraj.world import (
     generate_scene,
     load_fixed_layout,
 )
+
+RAYS = (RC.n_rays, RC.fov_deg, RC.max_range)
 
 
 def brute_force_field(occ, resolution):
@@ -69,18 +72,19 @@ def test_inside_obstacle_distance_zero():
     # each of the four cells around (5, 0) lies 5 cells (0.5 m), along an
     # axis, from the nearest free center (x = 4.45 or y = -0.55); a bilinear
     # blend of four equal values is that value.
-    world = GridWorld(SceneSpec(obstacles=[(5.0, 0.0, 1.0)]))
+    world = GridWorld(SceneSpec(obstacles=[(5.0, 0.0, 1.0)]), RC.resolution)
     assert world.distance_at((5.0, 0.0)) == -0.5
     assert world.collides((5.0, 0.0), 0.3)
 
 
 def test_empty_map_distance_capped():
-    world = GridWorld(SceneSpec())
+    world = GridWorld(SceneSpec(), RC.resolution)
     assert np.all(world.field == DIST_CAP)
 
 
 def test_fully_occupied_map_distance_capped_below():
-    world = GridWorld(SceneSpec(bounds=(0.0, 0.0, 1.0, 1.0), obstacles=[(0.5, 0.5, 2.0)]))
+    spec = SceneSpec(bounds=(0.0, 0.0, 1.0, 1.0), obstacles=[(0.5, 0.5, 2.0)])
+    world = GridWorld(spec, RC.resolution)
     assert world.occupancy.all()
     assert np.all(world.field == -DIST_CAP)
 
@@ -115,6 +119,17 @@ def test_scene_start_goal():
     assert tuple(spec.goal) == (30.0, 0.0)
 
 
+@pytest.mark.parametrize("widths", [(-1.0, -0.5), (0.0, 0.5), (1.0, 0.2), (0.5, 50.0)])
+def test_bad_width_range_rejected(widths):
+    # non-positive, reversed, or wider than the 10 m high obstacle region
+    with pytest.raises(ValueError, match="width"):
+        generate_scene(count=2, width_range=widths, seed=0)
+
+
+def test_widest_width_range_accepted():
+    assert generate_scene(count=1, width_range=(10.0, 10.0), seed=0).obstacles[0][2] == 10.0
+
+
 def test_packing_failure():
     with pytest.raises(PackingFailure):
         generate_scene(count=500, width_range=(1.0, 1.0), seed=0, max_attempts=2000)
@@ -140,8 +155,8 @@ def test_fixed_layouts_load():
 
 
 def test_raycast_empty_map():
-    world = GridWorld(SceneSpec())
-    scan = world.raycast_scan((0.0, 0.0), 0.0)
+    world = GridWorld(SceneSpec(), RC.resolution)
+    scan = world.raycast_scan((0.0, 0.0), 0.0, *RAYS)
     assert scan.shape == (64,)
     assert np.all(scan == 5.0)
 
@@ -149,31 +164,32 @@ def test_raycast_empty_map():
 def test_raycast_wall_ahead():
     # wall of occupied cells 2.0 m directly ahead
     wall = [(2.25, y / 10.0, 0.5) for y in range(-30, 31, 5)]
-    world = GridWorld(SceneSpec(obstacles=wall))
-    scan = world.raycast_scan((0.0, 0.0), 0.0)
+    world = GridWorld(SceneSpec(obstacles=wall), RC.resolution)
+    scan = world.raycast_scan((0.0, 0.0), 0.0, *RAYS)
     center = scan[31:33]
     assert np.all(center >= 2.0 - 0.1) and np.all(center <= 2.0 + 0.1)
 
 
 def test_raycast_rotation_changes_scan():
-    world = GridWorld(SceneSpec(obstacles=[(3.0, 0.0, 1.0)]))
-    a = world.raycast_scan((0.0, 0.0), 0.0)
-    b = world.raycast_scan((0.0, 0.0), np.deg2rad(87.0) / 2)
+    world = GridWorld(SceneSpec(obstacles=[(3.0, 0.0, 1.0)]), RC.resolution)
+    a = world.raycast_scan((0.0, 0.0), 0.0, *RAYS)
+    b = world.raycast_scan((0.0, 0.0), np.deg2rad(87.0) / 2, *RAYS)
     assert not np.array_equal(a, b)
 
 
 def test_raycast_monotone_under_obstacle_insertion(rng):
     base = SceneSpec(obstacles=[(5.0, 1.0, 0.8)])
     more = SceneSpec(obstacles=[(5.0, 1.0, 0.8), (3.0, -0.5, 0.6), (7.0, 0.2, 0.5)])
-    wa, wb = GridWorld(base), GridWorld(more)
+    wa, wb = GridWorld(base, RC.resolution), GridWorld(more, RC.resolution)
     for _ in range(5):
         pos = (rng.uniform(-1, 1), rng.uniform(-2, 2))
         heading = rng.uniform(-np.pi, np.pi)
-        assert np.all(wb.raycast_scan(pos, heading) <= wa.raycast_scan(pos, heading) + 1e-12)
+        a, b = (w.raycast_scan(pos, heading, *RAYS) for w in (wa, wb))
+        assert np.all(b <= a + 1e-12)
 
 
 def test_collides_cases():
-    world = GridWorld(SceneSpec(obstacles=[(5.0, 0.0, 1.0)]))
+    world = GridWorld(SceneSpec(obstacles=[(5.0, 0.0, 1.0)]), RC.resolution)
     assert not world.collides((5.0, 2.0), 0.3)  # ~1.5 m clear of the edge
     assert world.collides((5.0, 0.0), 0.3)
     # strict inequality at the boundary
@@ -200,7 +216,7 @@ def test_query_distance_gradient_matches_fd(scene4_world, rng):
 
 
 def test_out_of_bounds_queries():
-    world = GridWorld(SceneSpec())
+    world = GridWorld(SceneSpec(), RC.resolution)
     d, g = world.query_distance(np.array([[100.0, 0.0], [0.0, 0.0]]))
     assert d[0] == 0.0 and np.all(g[0] == 0.0)
     assert d[1] == DIST_CAP
