@@ -25,8 +25,8 @@ from . import neural
 from .config import RunConfig
 from .errors import NeotrajError
 from .initializers import STRATEGY_KINDS, InitStrategy
-from .minco import BoundaryState
-from .objective import ObjectiveSetup, total_objective
+from .minco import BoundaryState, TrajParams, solve_coeffs
+from .objective import ObjectiveSetup, tau_to_time, total_objective
 from .replan import derive_seed, run_episode, select_local_goal
 from .world import FIXED_PRESETS, RANDOM_PRESETS, GridWorld, SceneSpec, generate_scene
 
@@ -80,7 +80,28 @@ def cmd_scene(args) -> int:
 def cmd_collect(args) -> int:
     rc = _load_config(args)
     scenes = [_scene_token(t) for t in args.scenes]
-    records, summary = neural.collect_dataset(scenes, args.episodes, args.seed, rc)
+    tasks = []
+    for ep in range(args.episodes):
+        token = scenes[ep % len(scenes)]
+        # a preset draws a fresh world per episode; a scene file is flown as is
+        if isinstance(token, SceneSpec):
+            label = token.name or f"fixed-ep{ep}"
+        else:
+            label = f"scene{token}-ep{ep}"
+        seed = derive_seed(args.seed, ep)
+        tasks.append({"index": ep, "scene": token, "scene_label": label,
+                      "world_seed": seed, "episode_seed": seed, "config": rc})
+    results = _run_tasks(tasks, _collect_episode)
+    # records of failed episodes are dropped; the summary counts them
+    records = [rec for r in results if r["success"] for rec in r["records"]]
+    succeeded = sum(r["success"] for r in results)
+    summary = {
+        "format": neural.DATASET_FORMAT,
+        "episodes": args.episodes,
+        "succeeded": succeeded,
+        "failed": args.episodes - succeeded,
+        "records": len(records),
+    }
     neural.save_dataset(records, args.out)
     with open(str(args.out) + ".summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -130,11 +151,13 @@ def _build_strategy(init: str, model_path) -> InitStrategy:
     return InitStrategy(init)
 
 
-def _fly(token, world_seed: int, init: str, model_path, rc: RunConfig, seed: int):
+def _fly(token, world_seed: int, init: str, model_path, rc: RunConfig, seed: int,
+         sample_sink=None):
     """One episode: a scene file's world, or preset `token`'s world drawn from world_seed."""
     strategy = _build_strategy(init, model_path)
     spec = token if isinstance(token, SceneSpec) else generate_scene(preset=token, seed=world_seed)
-    return run_episode(GridWorld(spec, rc.resolution), strategy, rc, seed=seed)
+    return run_episode(GridWorld(spec, rc.resolution), strategy, rc, seed=seed,
+                       sample_sink=sample_sink)
 
 
 def cmd_fly(args) -> int:
@@ -165,6 +188,23 @@ def _bench_episode(task: dict) -> dict:
     return out
 
 
+def _collect_episode(task: dict) -> dict:
+    """Worker entry: one expert episode and the (observation, target) records it yields."""
+    records = []
+
+    def sink(obs, target, t):
+        records.append({
+            "obs": [float(v) for v in obs],
+            "target": [float(v) for v in target],
+            "scene": task["scene_label"],
+            "t": float(t),
+        })
+
+    report = _fly(task["scene"], task["world_seed"], "expert", None, task["config"],
+                  task["episode_seed"], sink)
+    return {"index": task["index"], "success": report.success, "records": records}
+
+
 def _pool_size() -> int:
     env = os.environ.get("NEOTRAJ_WORKERS")
     if env:
@@ -172,13 +212,14 @@ def _pool_size() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _run_tasks(tasks: list[dict]) -> list[dict]:
+def _run_tasks(tasks: list[dict], worker) -> list[dict]:
+    """worker(task) for every task, in a process pool, returned in task index order."""
     workers = _pool_size()
     if workers == 1 or len(tasks) <= 1:
-        results = [_bench_episode(t) for t in tasks]
+        results = [worker(t) for t in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_episode, tasks, chunksize=1))
+            results = list(pool.map(worker, tasks, chunksize=1))
     results.sort(key=lambda r: r["index"])
     return results
 
@@ -285,7 +326,7 @@ def cmd_bench(args) -> int:
     scenes = [_scene_token(t) for t in args.scenes]
     os.makedirs(args.out_dir, exist_ok=True)
     tasks = _make_tasks(scenes, inits, args.runs, args.seed, rc, args.model)
-    results = _run_tasks(tasks)
+    results = _run_tasks(tasks, _bench_episode)
     with open(os.path.join(args.out_dir, "episodes.jsonl"), "w") as fh:
         for r in results:
             fh.write(json.dumps(r, sort_keys=True) + "\n")
@@ -319,7 +360,7 @@ def cmd_latency(args) -> int:
         for tf_value in foresee_values:
             rc_v = replace(rc, replan=replace(rc.replan, latency=args.latency, foresee=tf_value))
             tasks = _make_tasks([token], [args.init], args.runs, args.seed, rc_v, None)
-            results = _run_tasks(tasks)
+            results = _run_tasks(tasks, _bench_episode)
             per_foresee[tf_value] = (
                 float(np.mean([r["rmse_position"] for r in results])),
                 float(np.mean([r["rmse_velocity"] for r in results])),
@@ -364,10 +405,8 @@ def _near_field_kink(q, tau, ob, world) -> bool:
     border is meaningless where the obstacle penalty is active, so those
     configurations are redrawn.
     """
-    from . import minco, objective
-
-    tbar = objective.tau_to_time(tau, ob.transform)
-    traj = minco.solve_coeffs(ob.init, ob.target, minco.TrajParams(q, tbar), ob.s_order)
+    tbar = tau_to_time(tau, ob.transform)
+    traj = solve_coeffs(ob.init, ob.target, TrajParams(q, tbar), ob.s_order)
     kappa = ob.penalty.kappa
     frac = np.arange(kappa + 1) / kappa
     for i in range(traj.n_pieces):

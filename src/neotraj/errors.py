@@ -25,10 +25,6 @@ class OutOfRange(NeotrajError):
     """Value outside the admissible interval."""
 
 
-class WorldMissingDistanceField(NeotrajError):
-    """Obstacle cost requested on a world without a distance field."""
-
-
 class NonFiniteObjective(NeotrajError):
     """Objective returned NaN or infinity."""
 
@@ -43,10 +39,6 @@ class NoPath(NeotrajError):
 
 class NoFreeCell(NeotrajError):
     """No free cell with the required clearance near the candidate point."""
-
-
-class ActivationInPast(NeotrajError):
-    """Splice activation time precedes the latest committed activation."""
 
 
 class ModelShapeMismatch(NeotrajError):

@@ -143,10 +143,6 @@ class Trajectory:
         return len(self.coefficients)
 
     @property
-    def dims(self) -> int:
-        return self.coefficients.shape[2]
-
-    @property
     def total_time(self) -> float:
         return float(self.start_times[-1])
 
@@ -335,10 +331,7 @@ def propagate_gradients(
     Returns (dH_dQ (D, M-1), dH_dtbar (M,)).
     """
     m, n, d = traj.coefficients.shape
-    try:
-        dk_dc = np.asarray(dk_dc, dtype=float)
-    except ValueError as exc:  # ragged list of per-piece arrays
-        raise ShapeMismatch("dk_dc must match the trajectory's coefficient shapes") from exc
+    dk_dc = np.asarray(dk_dc, dtype=float)
     if n != 2 * system.s_order or dk_dc.shape != (m, n, d):
         raise ShapeMismatch("dk_dc must match the trajectory's coefficient shapes")
     dk_dt = np.asarray(dk_dt, dtype=float).ravel()

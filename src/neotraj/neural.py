@@ -397,56 +397,3 @@ def load_dataset(path) -> list[dict]:
                 records.append(json.loads(line))
     return records
 
-
-def collect_dataset(scenes, episodes: int, seed: int, setup):
-    """Run expert episodes and harvest (observation, expert output) pairs.
-
-    `scenes` is a list of preset ids (fresh world per episode, seeded from
-    `seed` and the episode index) and/or SceneSpec instances (fixed).
-    Records from failed episodes are dropped; the summary counts them.
-
-    Returns (records, summary).
-    """
-    from . import replan  # runtime import: replan depends on this module
-    from .initializers import InitStrategy
-    from .world import GridWorld, generate_scene
-
-    records: list[dict] = []
-    succeeded = failed = 0
-    for ep in range(episodes):
-        scene = scenes[ep % len(scenes)]
-        if isinstance(scene, int):
-            spec = generate_scene(preset=scene, seed=replan.derive_seed(seed, ep))
-            scene_id = f"scene{scene}-ep{ep}"
-        else:
-            spec = scene
-            scene_id = spec.name or f"fixed-ep{ep}"
-        world = GridWorld(spec, setup.resolution)
-        episode_records: list[dict] = []
-
-        def sink(obs, target, t):
-            episode_records.append(
-                {
-                    "obs": [float(v) for v in obs],
-                    "target": [float(v) for v in target],
-                    "scene": scene_id,
-                    "t": float(t),
-                }
-            )
-
-        report = replan.run_episode(
-            world, InitStrategy("expert"), setup, seed=replan.derive_seed(seed, ep), sample_sink=sink
-        )
-        if report.success:
-            succeeded += 1
-            records.extend(episode_records)
-        else:
-            failed += 1
-    summary = {
-        "format": DATASET_FORMAT,
-        "episodes": episodes,
-        "succeeded": succeeded,
-        "failed": failed,
-        "records": len(records),
-    }
-    return records, summary

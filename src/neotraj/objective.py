@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import minco
-from .errors import OutOfRange, WorldMissingDistanceField
+from .errors import OutOfRange
 from .minco import BandedSystem, BoundaryState, TrajParams, Trajectory
 
 
@@ -198,8 +198,6 @@ def obstacle_cost(traj: Trajectory, world, cfg: PenaltyConfig):
     gradient points out; out-of-bounds samples count as zero clearance.
     Returns (cost, dK_dC, dK_dt).
     """
-    if world is None or getattr(world, "field", None) is None:
-        raise WorldMissingDistanceField("obstacle cost needs a distance field")
     kappa = cfg.kappa
     c, t = traj.coefficients, traj.durations
     m, n, d = c.shape

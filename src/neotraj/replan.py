@@ -23,7 +23,7 @@ import numpy as np
 
 from . import initializers, neural
 from .config import RunConfig
-from .errors import ActivationInPast, NeotrajError, NoFreeCell
+from .errors import NeotrajError, NoFreeCell
 from .minco import BoundaryState, Trajectory
 from .solver import plan
 from .world import GridWorld
@@ -49,8 +49,10 @@ EpisodeSetup = RunConfig
 class CommittedTrajectory:
     """Evolving desired trajectory: segments plus their activation times.
 
-    query(t) evaluates the last segment whose activation precedes t; before
-    the first activation (or on an empty object) it holds the initial state.
+    Segments are kept in activation order, including plans queued to
+    activate later.  query(t) evaluates the last segment whose activation is
+    at or before t; before the first activation (or on an empty object) it
+    holds the initial state.
     """
 
     def __init__(self, hover_position):
@@ -59,11 +61,10 @@ class CommittedTrajectory:
         self.segments: list[Trajectory] = []
 
     def add(self, t_activate: float, traj: Trajectory) -> None:
-        latest = self.activations[-1] if self.activations else -np.inf
-        if t_activate < latest:
-            raise ActivationInPast(f"activation {t_activate} before latest {latest}")
-        self.activations.append(float(t_activate))
-        self.segments.append(traj)
+        """Insert traj at its activation time; a tie goes to the later add."""
+        k = bisect.bisect_right(self.activations, t_activate)
+        self.activations.insert(k, float(t_activate))
+        self.segments.insert(k, traj)
 
     def query(self, t: float):
         """Desired (position, velocity, acceleration) at world time t."""
@@ -219,17 +220,15 @@ def run_episode(
     norm = strategy.model.norm if strategy.kind == "neural" else setup.norm_constants()
 
     committed = CommittedTrajectory(start)
-    pending: list[tuple[float, float, Trajectory]] = []  # (t_x, effective foresee, plan)
     pos = start.copy()
     vel = np.zeros(2)
     pos_sq_err: list[float] = []
     vel_sq_err: list[float] = []
     tick = 0
     n_ticks = int(round(rc.timeout * rc.tick_rate))
-    eps = 1e-9
 
     def do_replan(t_x: float) -> None:
-        """Plan at t_x and queue the result at its activation time."""
+        """Plan at t_x and add the result to the timeline at its activation time."""
         p0, v0, a0 = committed.query(t_x + rc.foresee)
         s_init = BoundaryState(p0, v0, a0)
         s_target = select_local_goal(world, p0, goal, setup)
@@ -276,16 +275,10 @@ def run_episode(
             latency += np.ceil(result.wall_time * rc.tick_rate) / rc.tick_rate
         if latency > rc.foresee and rc.foresee > 0:
             report.late_plans += 1
-        pending.append((t_x, max(rc.foresee, float(latency)), result.trajectory))
+        committed.add(t_x + max(rc.foresee, float(latency)), result.trajectory)
         report.iterations.append(int(result.iterations))
         report.plan_wall_times.append(float(result.wall_time))
         report.plan_latencies.append(float(latency))
-
-    def commit_due(t: float) -> None:
-        """Activate every queued plan whose activation time has come."""
-        while pending and pending[0][0] + pending[0][1] <= t + eps:
-            t_x, eff_foresee, traj = pending.pop(0)
-            committed.add(t_x + eff_foresee, traj)
 
     ticks_per_replan = max(int(round(rc.replan_interval * rc.tick_rate)), 1)
     log_01 = max(int(round(0.1 * rc.tick_rate)), 1)
@@ -293,12 +286,9 @@ def run_episode(
 
     while tick <= n_ticks:
         t = tick * dt
-        commit_due(t)
         if tick % ticks_per_replan == 0:
             try:
                 do_replan(t)
-                pending.sort(key=lambda item: item[0] + item[1])
-                commit_due(t)
             except NeotrajError as exc:  # a failed replan ends this episode only
                 report.failure_reason = _failure_reason(exc)
                 report.flight_time = t

@@ -20,7 +20,7 @@ from importlib import resources
 import numpy as np
 from scipy import ndimage
 
-from .errors import PackingFailure, WorldMissingDistanceField
+from .errors import PackingFailure
 
 SCENE_FORMAT = "neotraj-scene-1"
 DIST_CAP = 1e3
@@ -211,8 +211,6 @@ class GridWorld:
         points: (K, 2).  Out-of-bounds points return distance 0 (maximum
         penalty) with zero gradient.  Returns (dist (K,), grad (K, 2)).
         """
-        if self.field is None:
-            raise WorldMissingDistanceField("world has no distance field")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         k = points.shape[0]
         dist = np.zeros(k)
@@ -253,8 +251,6 @@ class GridWorld:
 
     def distance_at(self, point) -> float:
         """query_distance of one point, in Python floats: same arithmetic, same order."""
-        if self.field is None:
-            raise WorldMissingDistanceField("world has no distance field")
         x, y = float(point[0]), float(point[1])
         xmin, ymin, xmax, ymax = self.bounds
         if not (xmin <= x <= xmax and ymin <= y <= ymax):

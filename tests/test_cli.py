@@ -230,11 +230,14 @@ def test_collect_and_train_cycle(tmp_path):
     assert json.loads(rep.read_text())["replan_count"] > 0
 
 
-def test_collect_deterministic(tmp_path):
-    d1, d2 = tmp_path / "d1.jsonl", tmp_path / "d2.jsonl"
-    for d in (d1, d2):
-        assert run(["collect", "--scenes", "4", "--episodes", 1, "--seed", 9, "--out", d]) == 0
-    assert d1.read_bytes() == d2.read_bytes()
+def test_collect_deterministic(tmp_path, monkeypatch):
+    outputs = []
+    for workers in ("1", "2"):  # two episodes, so the second run uses the pool
+        monkeypatch.setenv("NEOTRAJ_WORKERS", workers)
+        d = tmp_path / f"d{workers}.jsonl"
+        assert run(["collect", "--scenes", "4", "--episodes", 2, "--seed", 9, "--out", d]) == 0
+        outputs.append((d.read_bytes(), (tmp_path / f"d{workers}.jsonl.summary.json").read_bytes()))
+    assert outputs[0] == outputs[1]  # worker-pool size cannot affect the dataset
 
 
 def one_error_line(capsys) -> bool:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import RC, SETUP_ARGS, random_instance
-from neotraj.errors import OutOfRange, WorldMissingDistanceField
+from neotraj.errors import OutOfRange
 from neotraj.minco import BoundaryState, TrajParams, Trajectory, solve_coeffs
 from neotraj.objective import (
     CostWeights,
@@ -73,15 +73,6 @@ def test_obstacle_cost_empty_world(empty_world, rng):
         cost, dc, dt = obstacle_cost(traj, empty_world, PenaltyConfig())
         assert cost == 0.0
         assert all(np.allclose(g, 0.0) for g in dc) and np.allclose(dt, 0.0)
-
-
-def test_obstacle_cost_missing_field(rng):
-    init, target, params = random_instance(rng)
-    traj = solve_coeffs(init, target, params, RC.s_order)
-    world = GridWorld(SceneSpec(), RC.resolution)
-    world.field = None
-    with pytest.raises(WorldMissingDistanceField):
-        obstacle_cost(traj, world, PenaltyConfig())
 
 
 def test_obstacle_cost_against_dense_quadrature():

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import RC
 from neotraj.config import RunConfig
-from neotraj.errors import ActivationInPast, NoFreeCell
+from neotraj.errors import NoFreeCell
 from neotraj.initializers import InitStrategy
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
 from neotraj.replan import (
@@ -64,11 +64,19 @@ def test_splice_continuity_when_planned_from_foreseen_state():
     assert np.linalg.norm(c.query(t_x + foresee + eps)[0] - c.query(t_x + foresee - eps)[0]) < 1e-6
 
 
-def test_splice_activation_in_past():
+def test_splice_out_of_order_add_placed_by_activation_time():
     c = CommittedTrajectory([0.0, 0.0])
-    c.add(2.0 + 1.0, straight_traj([0, 0], [2, 0], 4.0))
-    with pytest.raises(ActivationInPast):
-        c.add(1.0 + 0.5, straight_traj([0, 0], [1, 0], 2.0))
+    late = straight_traj([0, 0], [2, 0], 4.0)
+    early = straight_traj([0, 0], [1, 0], 2.0)
+    tie = straight_traj([5, 0], [6, 0], 2.0)
+    c.add(3.0, late)
+    c.add(1.5, early)  # queued after `late`, active before it
+    assert c.activations == [1.5, 3.0]
+    assert np.allclose(c.query(2.0)[0], early.eval(0.5))
+    assert np.allclose(c.query(3.5)[0], late.eval(0.5))
+    c.add(3.0, tie)  # same activation: the later add wins
+    assert c.activations == [1.5, 3.0, 3.0]
+    assert np.allclose(c.query(3.5)[0], tie.eval(0.5))
 
 
 def test_select_local_goal_unobstructed(empty_world):
@@ -139,6 +147,21 @@ def test_episode_commanded_continuity_with_latency(default_setup):
     bound = rc.penalty.v_max * (1.0 / 60.0) * 2.0 + 1e-6
     assert rep.max_command_jump < bound
     assert rep.late_plans == 0
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"foresee": 1.0, "replan_interval": 0.5},  # the previous plan is still queued at a replan
+    {"foresee": 1.5},
+], ids=["default", "foresee_1_interval_0.5", "foresee_1.5"])
+def test_episode_horizon_longer_than_interval_keeps_command_continuous(overrides):
+    # each replan starts from the timeline that holds every queued plan, so
+    # the plan it splices in continues the one active at its activation
+    spec = SceneSpec(bounds=(-2.0, -4.0, 12.0, 4.0), start=(0.0, 0.0), goal=(10.0, 0.0))
+    rc = RunConfig.from_dict(overrides)
+    rep = run_episode(GridWorld(spec, rc.resolution), InitStrategy("baseline"), rc, seed=0)
+    assert rep.success
+    assert rep.max_command_jump < 0.05
 
 
 def test_episode_zero_foresight_jumps(default_setup):
