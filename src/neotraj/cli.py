@@ -24,7 +24,7 @@ import numpy as np
 from . import neural
 from .config import RunConfig
 from .errors import NeotrajError
-from .initializers import STRATEGY_KINDS, InitStrategy
+from .initializers import InitStrategy
 from .minco import BoundaryState, TrajParams, solve_coeffs
 from .objective import ObjectiveSetup, tau_to_time, total_objective
 from .replan import derive_seed, run_episode, select_local_goal
@@ -131,11 +131,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _init_kind(init: str) -> str:
-    """The strategy kind behind a CLI init name (`neo` is the neural initializer)."""
-    return "neural" if init in ("neo", "neural") else init
-
-
 @functools.lru_cache(maxsize=None)
 def _load_model(path) -> neural.MlpModel:
     """Each model file is read once per process (bench workers fly many episodes)."""
@@ -143,10 +138,10 @@ def _load_model(path) -> neural.MlpModel:
 
 
 def _build_strategy(init: str, model_path) -> InitStrategy:
-    init = _init_kind(init)
-    if init == "neural":
+    """The strategy behind a CLI init name (`neo` is the neural initializer)."""
+    if init in ("neo", "neural"):
         if not model_path:
-            raise ValueError("--init neo requires --model")
+            raise ValueError(f"init {init} requires --model")
         return InitStrategy("neural", _load_model(model_path))
     return InitStrategy(init)
 
@@ -317,12 +312,8 @@ def _svg_bars(path, title, labels, series: dict) -> None:
 
 def cmd_bench(args) -> int:
     rc = _load_config(args)
-    inits = [_init_kind(s.strip()) for s in args.inits.split(",") if s.strip()]
-    for init in inits:
-        if init not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy {init!r}")
-    if "neural" in inits and not args.model:
-        raise ValueError("--inits with neo requires --model")
+    # building each strategy checks its name and model before any episode flies
+    inits = [_build_strategy(s.strip(), args.model).kind for s in args.inits.split(",") if s.strip()]
     scenes = [_scene_token(t) for t in args.scenes]
     os.makedirs(args.out_dir, exist_ok=True)
     tasks = _make_tasks(scenes, inits, args.runs, args.seed, rc, args.model)

@@ -1,9 +1,11 @@
 """Initial-guess strategies: baseline, geometric (A*), expert, neural.
 
-All strategies emit TrajParams whose durations lie strictly inside the
-time-transform bounds.  The expert optimizes three seeds (straight plus
-left/right half-sine deformations) and keeps the cheapest result, which
-captures solutions in distinct homotopy classes around obstacles.
+Every strategy proposes a list of guesses (`InitStrategy.guesses`); the
+replanner optimizes each one and keeps the cheapest (`cheapest`).  The
+baseline, geo and neural kinds propose one guess; the expert proposes
+three (straight plus left/right half-sine deformations), which captures
+solutions in distinct homotopy classes around obstacles.  All guesses
+carry durations strictly inside the time-transform bounds.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import neural as neural_mod
+from .config import RunConfig
 from .errors import NoPath
 from .minco import BoundaryState, TrajParams
 from .objective import CostWeights, PenaltyConfig, TimeTransform
@@ -33,8 +36,25 @@ class InitStrategy:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy {self.kind!r}")
-        if self.kind == "neural" and self.model is None:
-            raise ValueError("neural strategy requires a loaded model")
+        if (self.kind == "neural") != (self.model is not None):
+            raise ValueError("the neural strategy requires a loaded model; no other takes one")
+
+    def guesses(self, world: GridWorld, init: BoundaryState, target: BoundaryState,
+                observation, position, heading: float, rc: RunConfig) -> list[TrajParams]:
+        """The initial guesses to plan from; cost ties go to the earlier one."""
+        m, tf, v_max, cruise = rc.m_pieces, rc.transform, rc.penalty.v_max, rc.cruise_fraction
+        if self.kind == "baseline":
+            return [baseline_init(init, target, m, tf, v_max, cruise)]
+        if self.kind == "geo":
+            return [geo_init(world, init, target, m, tf, v_max, cruise, rc.penalty.d_safe)]
+        if self.kind == "expert":
+            return deformed_guesses(init, target, m, tf, v_max, cruise, rc.deform_amplitude)
+        return [neural_init(self.model, observation, position, heading, tf)]
+
+
+def cheapest(costs: list[float]) -> int:
+    """Index of the cheapest cost; costs within 1e-3 count as tied, the lowest index wins."""
+    return min(range(len(costs)), key=lambda i: (costs[i] > min(costs) + 1e-3, i))
 
 
 def _timed(q, length: float, tf: TimeTransform, v_max: float, cruise_fraction: float) -> TrajParams:
@@ -221,8 +241,7 @@ def expert_plan(
         for guess in guesses
     ]
     costs = [r.cost for r in results]
-    # costs within 1e-3 count as tied; the lowest index (straight first) wins
-    best = min(range(3), key=lambda i: (costs[i] > min(costs) + 1e-3, i))
+    best = cheapest(costs)
     return results[best], best, costs
 
 

@@ -217,7 +217,7 @@ def run_episode(
     start = np.asarray(world.spec.start, dtype=float)
     goal = np.asarray(world.spec.goal, dtype=float)
     report = EpisodeReport(scene=world.spec.name or "scene", strategy=strategy.kind, seed=seed)
-    norm = strategy.model.norm if strategy.kind == "neural" else setup.norm_constants()
+    norm = strategy.model.norm if strategy.model is not None else setup.norm_constants()
 
     committed = CommittedTrajectory(start)
     pos = start.copy()
@@ -228,41 +228,20 @@ def run_episode(
     n_ticks = int(round(rc.timeout * rc.tick_rate))
 
     def do_replan(t_x: float) -> None:
-        """Plan at t_x and add the result to the timeline at its activation time."""
+        """Plan each guess at t_x; add the cheapest plan to the timeline at its activation time."""
         p0, v0, a0 = committed.query(t_x + rc.foresee)
         s_init = BoundaryState(p0, v0, a0)
         s_target = select_local_goal(world, p0, goal, setup)
         obs = None
         heading = _heading_of(vel, pos, goal)
-        if strategy.kind == "neural" or sample_sink is not None:
+        if strategy.model is not None or sample_sink is not None:
             scan = world.raycast_scan(pos, heading, setup.n_rays, setup.fov_deg, setup.max_range)
             obs = neural.encode_observation(scan, pos, vel, heading, s_init, s_target, norm)
 
-        if strategy.kind == "expert":
-            result, _, _ = initializers.expert_plan(
-                world, s_init, s_target, setup.m_pieces,
-                setup.weights, setup.penalty, setup.transform, setup.solver,
-                setup.deform_amplitude, setup.cruise_fraction, setup.s_order,
-            )
-        else:
-            if strategy.kind == "baseline":
-                guess = initializers.baseline_init(
-                    s_init, s_target, setup.m_pieces, setup.transform,
-                    setup.penalty.v_max, setup.cruise_fraction,
-                )
-            elif strategy.kind == "geo":
-                guess = initializers.geo_init(
-                    world, s_init, s_target, setup.m_pieces, setup.transform,
-                    setup.penalty.v_max, setup.cruise_fraction, setup.penalty.d_safe,
-                )
-            else:
-                guess = initializers.neural_init(
-                    strategy.model, obs, pos, heading, setup.transform
-                )
-            result = plan(
-                s_init, s_target, guess, world,
-                setup.weights, setup.penalty, setup.transform, setup.solver, setup.s_order,
-            )
+        guesses = strategy.guesses(world, s_init, s_target, obs, pos, heading, setup)
+        results = [plan(s_init, s_target, g, world, setup.weights, setup.penalty,
+                        setup.transform, setup.solver, setup.s_order) for g in guesses]
+        result = results[initializers.cheapest([r.cost for r in results])]
 
         if sample_sink is not None:
             target_vec = neural.encode_target(

@@ -51,6 +51,8 @@ class PlanResult:
 
 def _cubic_min(a, fa, da, b, fb, db):
     """Minimizer of the cubic through (a, fa, da), (b, fb, db); None if degenerate."""
+    if a == b:  # a zero-width bracket, e.g. once the expanding step reaches its cap
+        return None
     d1 = da + db - 3.0 * (fa - fb) / (a - b)
     disc = d1 * d1 - da * db
     if disc < 0.0:

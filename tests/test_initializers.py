@@ -9,6 +9,7 @@ from neotraj.initializers import (
     InitStrategy,
     astar_path,
     baseline_init,
+    cheapest,
     deformed_guesses,
     expert_plan,
     geo_init,
@@ -137,10 +138,14 @@ def test_deformed_guesses_shape():
     assert np.allclose(right.waypoints[1], straight.waypoints[1] - bulge)
 
 
-def test_expert_selection_is_argmin():
-    # selection logic mirror: costs like 10.87 / 26.62 / 10.83 pick index 2
-    costs = [10.87, 26.62, 10.83]
-    assert int(np.argmin(costs)) == 2
+@pytest.mark.parametrize("costs, best", [
+    ([10.8305, 26.62, 10.83], 0),  # within 1e-3 of the minimum: a tie, the lowest index wins
+    ([26.62, 10.8305, 10.83], 1),
+    ([10.87, 26.62, 10.83], 2),  # lower by more than 1e-3: the cheaper one wins
+    ([5.0], 0),  # one guess
+], ids=["tie_to_first", "tie_to_second", "cheaper_wins", "one_guess"])
+def test_cheapest_tie_rule(costs, best):
+    assert cheapest(costs) == best
 
 
 def test_expert_empty_world_tie_break(empty_world):
@@ -207,4 +212,29 @@ def test_strategy_validation():
         InitStrategy("nope")
     with pytest.raises(ValueError):
         InitStrategy("neural")
+    with pytest.raises(ValueError):
+        InitStrategy("baseline", _identity_model())
     InitStrategy("baseline")
+
+
+def _same_params(a, b):
+    return np.array_equal(a.waypoints, b.waypoints) and np.array_equal(a.durations, b.durations)
+
+
+def test_guesses_are_the_initializers_output(scene4_world):
+    init = BoundaryState([0, 0], [0, 0])
+    target = BoundaryState([6, 1], [0, 0])
+    obs, pos, heading = np.full(76, 0.1), np.array([0.5, -0.5]), 0.3
+    model = _identity_model()
+    m = RC.m_pieces
+    direct = {
+        "baseline": [baseline_init(init, target, m, TF, *CRUISE)],
+        "geo": [geo_init(scene4_world, init, target, m, TF, *CRUISE, INFLATE)],
+        "expert": deformed_guesses(init, target, m, TF, *CRUISE, RC.deform_amplitude),
+        "neural": [neural_init(model, obs, pos, heading, TF)],
+    }
+    for kind, expected in direct.items():
+        strategy = InitStrategy(kind, model if kind == "neural" else None)
+        got = strategy.guesses(scene4_world, init, target, obs, pos, heading, RC)
+        assert len(got) == len(expected) == (3 if kind == "expert" else 1)
+        assert all(_same_params(a, b) for a, b in zip(got, expected)), kind

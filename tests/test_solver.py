@@ -53,6 +53,16 @@ def test_nonfinite_start_raises():
         minimize(lambda x: (np.nan, np.zeros(1)), np.zeros(1), RC.solver)
 
 
+def test_unbounded_objective_returns_unconverged():
+    # the expanding line-search step reaches its 1e6 cap, which leaves zoom a
+    # zero-width bracket; the cubic fit must bisect instead of dividing by zero
+    x, val, iters, evals, conv = minimize(
+        lambda x: (float(-x[0]), np.array([-1.0])), np.zeros(1), SolverConfig()
+    )
+    assert np.all(np.isfinite(x)) and np.isfinite(val)
+    assert conv is False
+
+
 def test_accepted_steps_strictly_decrease():
     values = []
 
