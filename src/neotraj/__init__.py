@@ -9,7 +9,7 @@ deterministic latency-tolerant replanning simulator with a benchmark CLI.
 from .config import ReplanConfig, RunConfig
 from .initializers import InitStrategy, astar_path, baseline_init, expert_plan, geo_init, neural_init
 from .minco import BoundaryState, TrajParams, Trajectory, propagate_gradients, solve_coeffs
-from .neural import MlpModel, NormConstants, TrainConfig, adam_step, train
+from .neural import MlpModel, NormConstants, adam_step, train
 from .objective import (
     CostWeights,
     PenaltyConfig,

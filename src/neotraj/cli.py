@@ -41,7 +41,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _load_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return RunConfig.load(args.config)
     return RunConfig()
 
@@ -88,9 +88,8 @@ def cmd_collect(args) -> int:
             label = token.name or f"fixed-ep{ep}"
         else:
             label = f"scene{token}-ep{ep}"
-        seed = derive_seed(args.seed, ep)
         tasks.append({"index": ep, "scene": token, "scene_label": label,
-                      "world_seed": seed, "episode_seed": seed, "config": rc})
+                      "seed": derive_seed(args.seed, ep), "config": rc})
     results = _run_tasks(tasks, _collect_episode)
     # records of failed episodes are dropped; the summary counts them
     records = [rec for r in results if r["success"] for rec in r["records"]]
@@ -116,9 +115,8 @@ def cmd_collect(args) -> int:
 def cmd_train(args) -> int:
     rc = _load_config(args)
     records = neural.load_dataset(args.data)
-    cfg = neural.TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     model = neural.MlpModel(norm=rc.norm_constants(), seed=args.seed)
-    model, curve = neural.train(records, cfg, model)
+    model, curve = neural.train(records, model, args.lr, args.epochs, args.seed)
     model.save(args.out)
     loss_path = args.loss_out or str(args.out) + ".loss.csv"
     _write_csv(
@@ -146,18 +144,17 @@ def _build_strategy(init: str, model_path) -> InitStrategy:
     return InitStrategy(init)
 
 
-def _fly(token, world_seed: int, init: str, model_path, rc: RunConfig, seed: int,
-         sample_sink=None):
-    """One episode: a scene file's world, or preset `token`'s world drawn from world_seed."""
+def _fly(token, init: str, model_path, rc: RunConfig, seed: int, sample_sink=None):
+    """One episode: a scene file's world, or preset `token`'s world drawn from seed."""
     strategy = _build_strategy(init, model_path)
-    spec = token if isinstance(token, SceneSpec) else generate_scene(preset=token, seed=world_seed)
+    spec = token if isinstance(token, SceneSpec) else generate_scene(preset=token, seed=seed)
     return run_episode(GridWorld(spec, rc.resolution), strategy, rc, seed=seed,
                        sample_sink=sample_sink)
 
 
 def cmd_fly(args) -> int:
     rc = _load_config(args)
-    report = _fly(_scene_token(args.scene), args.seed, args.init, args.model, rc, args.seed)
+    report = _fly(_scene_token(args.scene), args.init, args.model, rc, args.seed)
     if args.report:
         report.save_json(args.report)
     if args.log:
@@ -174,8 +171,7 @@ def cmd_fly(args) -> int:
 
 def _bench_episode(task: dict) -> dict:
     """Worker entry: runs one episode described by a picklable task dict."""
-    report = _fly(task["scene"], task["world_seed"], task["init"], task["model_path"],
-                  task["config"], task["episode_seed"])
+    report = _fly(task["scene"], task["init"], task["model_path"], task["config"], task["seed"])
     out = report.to_json_dict()
     out["scene"] = task["scene_label"]
     out["run"] = task["run"]
@@ -195,8 +191,7 @@ def _collect_episode(task: dict) -> dict:
             "t": float(t),
         })
 
-    report = _fly(task["scene"], task["world_seed"], "expert", None, task["config"],
-                  task["episode_seed"], sink)
+    report = _fly(task["scene"], "expert", None, task["config"], task["seed"], sink)
     return {"index": task["index"], "success": report.success, "records": records}
 
 
@@ -223,18 +218,15 @@ def _make_tasks(scenes, inits, runs, seed, rc, model_path) -> list[dict]:
     tasks = []
     index = 0
     for si, token in enumerate(scenes):
-        fixed = isinstance(token, SceneSpec) or token in FIXED_PRESETS
         for init in inits:
             for run in range(runs):
-                # the world depends only on (scene, run) so inits see paired worlds
-                world_seed = derive_seed(seed, si * 1000003 + run)
                 tasks.append(
                     {
                         "index": index,
                         "scene_label": _scene_label(token),
                         "scene": token,
-                        "world_seed": 0 if fixed else world_seed,
-                        "episode_seed": world_seed,
+                        # the world depends only on (scene, run) so inits see paired worlds
+                        "seed": derive_seed(seed, si * 1000003 + run),
                         "init": init,
                         "model_path": model_path,
                         "run": run,
@@ -459,70 +451,63 @@ def _at_least(minimum: int):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="neotraj", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    configured = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    configured.add_argument("--config")
 
-    sp = sub.add_parser("scene", help="generate a scene file")
+    sp = sub.add_parser("scene", parents=[seeded], help="generate a scene file")
     sp.add_argument("--preset", type=int, choices=sorted(FIXED_PRESETS | RANDOM_PRESETS.keys()))
     sp.add_argument("--count", type=_at_least(0))
     sp.add_argument("--width-min", type=float, default=0.5)
     sp.add_argument("--width-max", type=float, default=1.0)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_scene)
 
-    sp = sub.add_parser("collect", help="collect expert training data")
+    sp = sub.add_parser("collect", parents=[configured], help="collect expert training data")
     sp.add_argument("--scenes", nargs="+", default=["4"])
     sp.add_argument("--episodes", type=_at_least(1), default=30)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--config")
     sp.set_defaults(func=cmd_collect)
 
-    sp = sub.add_parser("train", help="train the warm-start network")
+    sp = sub.add_parser("train", parents=[configured], help="train the warm-start network")
     sp.add_argument("--data", required=True)
-    sp.add_argument("--epochs", type=int, default=neural.TrainConfig.epochs)
-    sp.add_argument("--lr", type=float, default=neural.TrainConfig.learning_rate)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--epochs", type=int, default=neural.EPOCHS)
+    sp.add_argument("--lr", type=float, default=neural.LEARNING_RATE)
     sp.add_argument("--out", required=True)
     sp.add_argument("--loss-out")
-    sp.add_argument("--config")
     sp.set_defaults(func=cmd_train)
 
-    sp = sub.add_parser("fly", help="run one episode")
+    sp = sub.add_parser("fly", parents=[configured], help="run one episode")
     sp.add_argument("--scene", required=True)
     sp.add_argument("--init", choices=["baseline", "geo", "expert", "neo"], default="baseline")
     sp.add_argument("--model")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--report")
     sp.add_argument("--log")
-    sp.add_argument("--config")
     sp.set_defaults(func=cmd_fly)
 
-    sp = sub.add_parser("bench", help="benchmark initializers over scenes")
+    sp = sub.add_parser("bench", parents=[configured], help="benchmark initializers over scenes")
     sp.add_argument("--scenes", nargs="+", default=["4", "5", "6", "7", "8", "9"])
     sp.add_argument("--runs", type=_at_least(1), default=20)
     sp.add_argument("--inits", default="baseline,geo,neo")
     sp.add_argument("--model")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", required=True)
     sp.add_argument("--svg", action="store_true")
-    sp.add_argument("--config")
     sp.set_defaults(func=cmd_bench)
 
-    sp = sub.add_parser("latency", help="foreseeing-horizon latency study")
+    sp = sub.add_parser("latency", parents=[configured], help="foreseeing-horizon latency study")
     sp.add_argument("--scenes", nargs="+", default=["1", "2", "3"])
     sp.add_argument("--runs", type=_at_least(1), default=10)
     sp.add_argument("--latency", type=float, default=0.8)
     sp.add_argument("--foresee", default="0,1.0")
     sp.add_argument("--init", choices=["baseline", "geo", "expert"], default="geo")
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--config")
     sp.set_defaults(func=cmd_latency)
 
-    sp = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    sp = sub.add_parser(
+        "gradcheck", parents=[configured], help="finite-difference gradient verification"
+    )
     sp.add_argument("--trials", type=_at_least(0), default=100)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--config")
     sp.set_defaults(func=cmd_gradcheck)
     return p
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import neural as neural_mod
 from .config import RunConfig
-from .errors import NoPath
+from .errors import ModelShapeMismatch, NoPath
 from .minco import BoundaryState, TrajParams
 from .objective import CostWeights, PenaltyConfig, TimeTransform
 from .solver import DURATION_MARGIN, PlanResult, SolverConfig, clamp_durations, plan
@@ -49,7 +49,10 @@ class InitStrategy:
             return [geo_init(world, init, target, m, tf, v_max, cruise, rc.penalty.d_safe)]
         if self.kind == "expert":
             return deformed_guesses(init, target, m, tf, v_max, cruise, rc.deform_amplitude)
-        return [neural_init(self.model, observation, position, heading, tf)]
+        guess = neural_init(self.model, observation, position, heading, tf)
+        if guess.n_pieces != m:
+            raise ModelShapeMismatch(f"the model plans {guess.n_pieces} pieces, not m_pieces={m}")
+        return [guess]
 
 
 def cheapest(costs: list[float]) -> int:
@@ -115,12 +118,13 @@ def astar_path(world: GridWorld, start, goal, inflate: float) -> np.ndarray:
 
     g_score = {s: 0.0}
     came: dict[tuple[int, int], tuple[int, int]] = {}
-    # heap entries: (f, heading_change, row_major, counter, cell, arrival_move)
-    counter = 0
-    open_heap = [(h(s), 0, s[1] * world.nx + s[0], counter, s, (0, 0))]
+    # heap entries: (f, heading_change, row_major, cell, arrival_move).  Cells differ in
+    # row_major and a cell is pushed again only with a g (so an f) lower by more than
+    # 1e-12, so (f, heading_change, row_major) never ties: the rest is never compared.
+    open_heap = [(h(s), 0, s[1] * world.nx + s[0], s, (0, 0))]
     closed: set[tuple[int, int]] = set()
     while open_heap:
-        _, _, _, _, cur, arrival = heapq.heappop(open_heap)
+        _, _, _, cur, arrival = heapq.heappop(open_heap)
         if cur in closed:
             continue
         closed.add(cur)
@@ -142,10 +146,8 @@ def astar_path(world: GridWorld, start, goal, inflate: float) -> np.ndarray:
                 g_score[nxt] = cand
                 came[nxt] = cur
                 turn = 0 if mv == arrival else 1
-                counter += 1
                 heapq.heappush(
-                    open_heap,
-                    (cand + h(nxt), turn, nxt[1] * world.nx + nxt[0], counter, nxt, mv),
+                    open_heap, (cand + h(nxt), turn, nxt[1] * world.nx + nxt[0], nxt, mv)
                 )
     raise NoPath(f"no path from {tuple(start)} to {tuple(goal)}")
 

@@ -16,7 +16,7 @@ normalization constants baked in, so inference needs no side channel.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,10 +27,14 @@ from .objective import TimeTransform, tau_to_time, time_to_tau
 MODEL_FORMAT = "neotraj-model-1"
 DATASET_FORMAT = "neotraj-dataset-1"
 
-# Stored tau targets are clipped to this band.  Outside it the sigmoid is
-# saturated (durations within 2% of their bounds), so larger magnitudes
-# carry no duration information and only distort the MSE loss.
-TAU_CLIP = 4.0
+# the CLI's --lr and --epochs defaults
+LEARNING_RATE = 1e-3
+EPOCHS = 800
+# Adam's moment decays and denominator guard, the mini-batch size and the
+# share of records held out for validation
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+BATCH_SIZE = 64
+VAL_SPLIT = 0.1
 
 
 @dataclass
@@ -39,6 +43,9 @@ class NormConstants:
 
     tau_scale divides the stored time channel so every target channel is
     O(1); decoding multiplies it back before the sigmoid duration map.
+    Stored tau targets are clipped to the band decoding clips to, +-tau_scale:
+    beyond 4.0 the sigmoid is saturated (durations within 2% of their bounds),
+    so larger magnitudes carry no duration information and distort the loss.
     """
 
     d_look: float
@@ -89,8 +96,8 @@ def encode_target(
     qb = rt @ (waypoints - position[:, None]) / norm.d_look
     # durations lie strictly inside (t_min, t_max) but may be saturated; clip
     # into the interval matching the tau band before taking the logit
-    lo = tf.t_min + tf.span / (1.0 + np.exp(TAU_CLIP))
-    hi = tf.t_min + tf.span / (1.0 + np.exp(-TAU_CLIP))
+    lo = tf.t_min + tf.span / (1.0 + np.exp(norm.tau_scale))
+    hi = tf.t_min + tf.span / (1.0 + np.exp(-norm.tau_scale))
     tau = time_to_tau(np.clip(durations, lo, hi), tf)
     return np.concatenate([qb.flatten(order="F"), tau / norm.tau_scale])
 
@@ -175,10 +182,6 @@ class MlpModel:
     def param_list(self) -> list[np.ndarray]:
         """Flat canonical parameter order (shared references)."""
         return _flat(self.layers)
-
-    def set_params(self, params: list[np.ndarray]) -> None:
-        for dst, src in zip(self.param_list(), params):
-            dst[...] = src
 
     def _forward(self, x: np.ndarray, caches: dict | None = None) -> np.ndarray:
         """Outputs for a (B, I) batch.
@@ -292,79 +295,56 @@ def _flat(branches: dict) -> list:
     return [p for name in ("depth", "inertial", "head") for layer in branches[name] for p in layer]
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 64
-    epochs: int = 800
-    seed: int = 0
-    val_split: float = 0.1
-
-    def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("rates and sizes must be positive")
-
-
-@dataclass
-class AdamState:
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-    step: int = 0
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
-
-
-def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState, cfg: TrainConfig
-) -> list[np.ndarray]:
-    """Standard bias-corrected Adam update, in place."""
-    state.step += 1
-    t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+def adam_step(params: list, grads: list, m: list, v: list, step: int, learning_rate: float) -> list:
+    """Bias-corrected Adam update number `step` (from 1), in place on params, m and v."""
+    for p, g, mk, vk in zip(params, grads, m, v):
+        mk[...] = BETA1 * mk + (1.0 - BETA1) * g
+        vk[...] = BETA2 * vk + (1.0 - BETA2) * g * g
+        m_hat = mk / (1.0 - BETA1**step)
+        v_hat = vk / (1.0 - BETA2**step)
+        p -= learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
     return params
 
 
-def train(records: list[dict], cfg: TrainConfig, model: MlpModel):
-    """Seeded mini-batch training of `model`; keeps the best-validation parameters.
+def train(records: list[dict], model: MlpModel, learning_rate: float, epochs: int, seed: int):
+    """Seeded mini-batch Adam training of `model`; keeps the best-validation parameters.
 
     Returns (model, curve) where curve rows are
     {"epoch", "train_mse", "val_mse"}.
     """
+    if learning_rate <= 0 or epochs < 1:
+        raise ValueError("the learning rate and the epoch count must be positive")
     if not records:
         raise EmptyDataset("no training records")
     x = np.array([r["obs"] for r in records], dtype=float)
     y = np.array([r["target"] for r in records], dtype=float)
-    rng = np.random.default_rng(cfg.seed)
+    if (x.shape[1], y.shape[1]) != (model.n_inputs, model.n_outputs):
+        raise ModelShapeMismatch(f"records map {x.shape[1]} inputs to {y.shape[1]} targets; "
+                                 f"the model maps {model.n_inputs} to {model.n_outputs}")
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(len(records))
-    n_val = int(round(cfg.val_split * len(records)))
+    n_val = int(round(VAL_SPLIT * len(records)))
     n_val = min(n_val, len(records) - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     if train_idx.size == 0:
         raise EmptyDataset("no records left for training after the split")
-    batch = min(cfg.batch_size, train_idx.size)
+    batch = min(BATCH_SIZE, train_idx.size)
 
     params = model.param_list()
-    state = AdamState.for_params(params)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    step = 0
     curve = []
     best_val = np.inf
     best_params = None
-    for epoch in range(cfg.epochs):
+    for epoch in range(epochs):
         order = rng.permutation(train_idx)
         losses = []
         for k in range(0, order.size, batch):
             idx = order[k : k + batch]
             loss, grads = model.backward(x[idx], y[idx])
-            adam_step(params, grads, state, cfg)
+            step += 1
+            adam_step(params, grads, m, v, step, learning_rate)
             losses.append(loss)
         train_mse = float(np.mean(losses))
         if val_idx.size:
@@ -377,7 +357,8 @@ def train(records: list[dict], cfg: TrainConfig, model: MlpModel):
             best_val = val_mse
             best_params = [p.copy() for p in params]
     if best_params is not None:
-        model.set_params(best_params)
+        for p, best in zip(params, best_params):
+            p[...] = best
     return model, curve
 
 

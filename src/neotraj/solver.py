@@ -9,8 +9,8 @@ usable plan.  The flat variable layout is [Q column-major, then tau].
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class PlanResult:
     cost: float
     iterations: int
     ls_evals: int
-    wall_time: float
     converged: bool
 
 
@@ -64,20 +63,7 @@ def _cubic_min(a, fa, da, b, fb, db):
     return b - (b - a) * (db + d2 - d1) / denom
 
 
-class _Objective:
-    """Counts evaluations of f and normalizes its (value, gradient) output."""
-
-    def __init__(self, f):
-        self.f = f
-        self.evals = 0
-
-    def __call__(self, x):
-        self.evals += 1
-        val, grad = self.f(x)
-        return float(val), np.asarray(grad, dtype=float)
-
-
-def _wolfe_search(func, x, f0, g0, direction, cfg: SolverConfig, first_step: float = 1.0):
+def _wolfe_search(func, x, f0, g0, direction, cfg: SolverConfig, first_step: float):
     """Strong-Wolfe line search.  Returns (alpha, f, g) or None on failure."""
     dphi0 = float(g0 @ direction)
     if dphi0 >= 0.0:
@@ -139,41 +125,47 @@ def minimize(f, x0: np.ndarray, cfg: SolverConfig):
     <= f_tol, or max iterations.  Returns (x, value, iterations, ls_evals,
     converged).
     """
-    func = _Objective(f)
+    evals = 0
+
+    def func(x):
+        nonlocal evals
+        evals += 1
+        val, grad = f(x)
+        return float(val), np.asarray(grad, dtype=float)
+
     x = np.asarray(x0, dtype=float).copy()
     fx, g = func(x)
     if not (np.isfinite(fx) and np.all(np.isfinite(g))):
         raise NonFiniteObjective("objective not finite at the initial point")
 
     if np.max(np.abs(g)) <= cfg.g_tol:
-        return x, fx, 0, func.evals, True
+        return x, fx, 0, evals, True
 
-    s_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    rho_hist: list[float] = []
+    history: deque = deque(maxlen=cfg.history)  # (s, y, rho) pairs, oldest first
     converged = False
     k = 0
     while k < cfg.max_iterations:
         # two-loop recursion
         q = g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+        for s, y, rho in reversed(history):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * y
-        if s_hist:
-            gamma = (s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1])
+        if history:
+            s, y, _ = history[-1]
+            gamma = (s @ y) / (y @ y)
             q *= gamma
-        for (s, y, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+        for (s, y, rho), a in zip(history, reversed(alphas)):
             b = rho * (y @ q)
             q += (a - b) * s
         direction = -q
         if direction @ g >= 0.0:  # safeguard: fall back to steepest descent
-            s_hist.clear(), y_hist.clear(), rho_hist.clear()
+            history.clear()
             direction = -g
 
         # without curvature history the unit step can be wildly out of scale
-        first_step = 1.0 if s_hist else min(1.0, 1.0 / max(1.0, float(np.max(np.abs(g)))))
+        first_step = 1.0 if history else min(1.0, 1.0 / max(1.0, float(np.max(np.abs(g)))))
         result = _wolfe_search(func, x, fx, g, direction, cfg, first_step)
         if result is None:
             break
@@ -183,11 +175,7 @@ def minimize(f, x0: np.ndarray, cfg: SolverConfig):
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > cfg.history:
-                s_hist.pop(0), y_hist.pop(0), rho_hist.pop(0)
+            history.append((s, y, 1.0 / sy))
         f_decrease = fx - f_new
         x = x + s
         fx, g = f_new, g_new
@@ -197,7 +185,7 @@ def minimize(f, x0: np.ndarray, cfg: SolverConfig):
         if f_decrease <= cfg.f_tol * max(1.0, abs(fx)):
             converged = True
             break
-    return x, fx, k, func.evals, converged
+    return x, fx, k, evals, converged
 
 
 DURATION_MARGIN = 1e-3
@@ -220,7 +208,6 @@ def plan(
     s_order: int,
 ) -> PlanResult:
     """Run one spatial-temporal optimization from an initial guess (world None: no obstacles)."""
-    t_start = time.perf_counter()
     setup = ObjectiveSetup(init, target, world, weights, penalty, transform, s_order)
     d, m = guess.dims, guess.n_pieces
     tau0 = objective.time_to_tau(clamp_durations(guess.durations, transform), transform)
@@ -247,6 +234,5 @@ def plan(
         cost=float(cost),
         iterations=iters,
         ls_evals=evals,
-        wall_time=time.perf_counter() - t_start,
         converged=converged,
     )

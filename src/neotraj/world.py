@@ -38,6 +38,7 @@ FIXED_PRESETS = {1: "poles", 2: "forest", 3: "bricks"}
 
 OBSTACLE_REGION = (3.0, -5.0, 27.0, 5.0)  # xmin, ymin, xmax, ymax
 MIN_SPACING = 1.8
+MAX_ATTEMPTS = 20000  # obstacle draws before generate_scene gives up
 DEFAULT_BOUNDS = (-2.0, -6.0, 32.0, 6.0)
 DEFAULT_START = (0.0, 0.0)
 DEFAULT_GOAL = (30.0, 0.0)
@@ -98,7 +99,6 @@ def generate_scene(
     count: int | None = None,
     width_range: tuple[float, float] | None = None,
     seed: int = 0,
-    max_attempts: int = 20000,
 ) -> SceneSpec:
     """Generate a scene, either by preset id (1-9) or by explicit settings.
 
@@ -129,9 +129,9 @@ def generate_scene(
     obstacles: list[tuple[float, float, float]] = []
     attempts = 0
     while len(obstacles) < count:
-        if attempts >= max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             raise PackingFailure(
-                f"placed {len(obstacles)}/{count} obstacles in {max_attempts} attempts"
+                f"placed {len(obstacles)}/{count} obstacles in {MAX_ATTEMPTS} attempts"
             )
         attempts += 1
         w = float(rng.uniform(width_range[0], width_range[1]))

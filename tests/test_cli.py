@@ -1,8 +1,11 @@
 """Command-line interface: flags, outputs, determinism, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +164,21 @@ def test_config_roundtrip(tmp_path):
 
     assert EpisodeSetup() == RunConfig()
     assert EpisodeSetup.from_run_config(rc) is rc
+
+
+def test_readme_config_paragraph_names_every_key():
+    # the README's `--config` paragraph and its key list name the flat keys
+    # and the section each lands in, and nothing else
+    from neotraj.config import RunConfig
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    start = readme.index("`--config file.json` overrides")
+    paragraph = readme[start : readme.index("\n\n", readme.index("\n- ", start))]
+    named = set(re.findall(r"`([a-z_][a-z0-9_]*)`", paragraph))
+    keys = set(RunConfig().to_dict())
+    sections = {f.name for f in dataclasses.fields(RunConfig)}
+    assert keys <= named, f"undocumented config keys: {sorted(keys - named)}"
+    assert named <= keys | sections, f"not config keys: {sorted(named - keys - sections)}"
 
 
 @pytest.mark.slow

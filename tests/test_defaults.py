@@ -25,7 +25,6 @@ SECTIONS = {f.name for f in dataclasses.fields(RunConfig)
 CONFIG_NAMES = set(RC.to_dict()) | SECTIONS | {
     "m", "tf", "solver_cfg", "cfg", "amplitude", "inflate", "norm", "d_look",
 }
-NOT_CONFIG = {("AdamState", "m")}  # Adam's first moment, not the piece count
 ALLOWED = {("expert_plan", "s_order"): RC.s_order}
 CONFIG_CLASSES = {RunConfig} | {type(getattr(RC, section)) for section in SECTIONS}
 
@@ -68,7 +67,7 @@ def test_walk_finds_the_config_taking_signatures():
 def test_keyword_defaults_equal_run_config(qualname):
     """No config-valued default outside RunConfig; the one allowed equals RunConfig's."""
     for name, param in inspect.signature(SIGNATURES[qualname]).parameters.items():
-        if param.default is inspect.Parameter.empty or (qualname, name) in NOT_CONFIG:
+        if param.default is inspect.Parameter.empty:
             continue
         if name in CONFIG_NAMES:
             assert (qualname, name) in ALLOWED, f"{qualname}({name}=...) restates a config default"

@@ -10,9 +10,9 @@ from conftest import RC
 from neotraj.errors import EmptyDataset, ModelShapeMismatch, ShapeMismatch
 from neotraj.minco import BoundaryState
 from neotraj.neural import (
-    AdamState,
+    EPOCHS,
+    LEARNING_RATE,
     MlpModel,
-    TrainConfig,
     adam_step,
     decode_output,
     encode_observation,
@@ -116,14 +116,13 @@ def test_single_linear_layer_gradient():
 
 
 def test_adam_first_step_and_zero_grad():
-    cfg = TrainConfig(learning_rate=1e-3)
     p = [np.array([1.0, -2.0])]
-    st = AdamState.for_params(p)
-    adam_step(p, [np.array([5.0, -0.3])], st, cfg)
+    m, v = [np.zeros(2)], [np.zeros(2)]
+    adam_step(p, [np.array([5.0, -0.3])], m, v, 1, 1e-3)
     assert p[0][0] == pytest.approx(1.0 - 1e-3, rel=1e-6)
     assert p[0][1] == pytest.approx(-2.0 + 1e-3, rel=1e-6)
     before = p[0].copy()
-    adam_step(p, [np.zeros(2)], st, cfg)
+    adam_step(p, [np.zeros(2)], m, v, 2, 1e-3)
     # m decays toward zero but v also decays; steps stay ~1e-3-scale bounded
     assert np.all(np.abs(p[0] - before) <= 1.1e-3)
 
@@ -131,11 +130,10 @@ def test_adam_first_step_and_zero_grad():
 def test_adam_reproducible(rng):
     def run():
         model = MlpModel(NORM, depth_sizes=[2, 2], inertial_sizes=[1, 2], head_sizes=[4, 2], seed=5)
-        cfg = TrainConfig(seed=5, epochs=3, batch_size=4)
         x = np.random.default_rng(0).normal(size=(8, 3))
         y = np.random.default_rng(1).normal(size=(8, 2))
         recs = [{"obs": a.tolist(), "target": b.tolist()} for a, b in zip(x, y)]
-        m, curve = train(recs, cfg, model)
+        m, curve = train(recs, model, LEARNING_RATE, 3, 5)
         return m.param_list(), curve
 
     p1, c1 = run()
@@ -148,7 +146,7 @@ def test_train_overfit_small_dataset(rng):
     x = rng.normal(size=(64, 76))
     y = rng.normal(size=(64, 7)) * 0.5
     recs = [{"obs": a.tolist(), "target": b.tolist()} for a, b in zip(x, y)]
-    model, curve = train(recs, TrainConfig(epochs=500, seed=0), MlpModel(NORM, seed=0))
+    model, curve = train(recs, MlpModel(NORM, seed=0), LEARNING_RATE, 500, 0)
     assert curve[-1]["train_mse"] < 1e-3
     assert all(np.isfinite(c["train_mse"]) and np.isfinite(c["val_mse"]) for c in curve)
 
@@ -160,13 +158,27 @@ def test_train_constant_target(rng):
     x = np.hstack([np.ones((n, 64)), rng.normal(scale=0.3, size=(n, 12))])
     y = np.tile(np.array([0.3, -0.2, 0.5, 0.1, 0.0, -0.4, 0.2]), (n, 1))
     recs = [{"obs": a.tolist(), "target": b.tolist()} for a, b in zip(x, y)]
-    model, curve = train(recs, TrainConfig(epochs=100, seed=1), MlpModel(NORM, seed=1))
+    model, curve = train(recs, MlpModel(NORM, seed=1), LEARNING_RATE, 100, 1)
     assert min(c["val_mse"] for c in curve) < 1e-4
 
 
 def test_train_empty_dataset():
     with pytest.raises(EmptyDataset):
-        train([], TrainConfig(), MlpModel(NORM))
+        train([], MlpModel(NORM), LEARNING_RATE, EPOCHS, 0)
+
+
+@pytest.mark.parametrize("learning_rate, epochs", [(0.0, 1), (-1e-3, 1), (1e-3, 0)])
+def test_train_rejects_bad_rate_or_epochs(learning_rate, epochs):
+    recs = [{"obs": [0.0] * 76, "target": [0.0] * 7}] * 2
+    with pytest.raises(ValueError, match="positive"):
+        train(recs, MlpModel(NORM), learning_rate, epochs, 0)
+
+
+def test_train_rejects_records_the_model_does_not_fit():
+    # a dataset collected with m_pieces 4 holds 10-wide targets; the default net emits 7
+    recs = [{"obs": [0.0] * 76, "target": [0.0] * 10}] * 4
+    with pytest.raises(ModelShapeMismatch, match="10 targets; the model maps 76 to 7"):
+        train(recs, MlpModel(NORM), LEARNING_RATE, 1, 0)
 
 
 def test_model_json_roundtrip(tmp_path, rng):

@@ -1,15 +1,19 @@
 """Committed-trajectory splicing, local goals, episodes, latency behavior."""
 
+import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import RC
+from neotraj import replan
 from neotraj.config import RunConfig
 from neotraj.errors import NoFreeCell
 from neotraj.initializers import InitStrategy
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
+from neotraj.neural import MlpModel
 from neotraj.replan import (
     CommittedTrajectory,
     EpisodeReport,
@@ -204,6 +208,30 @@ def test_report_json_excludes_wall_times(tmp_path, empty_world, default_setup):
     lines = log.read_text().splitlines()
     assert lines[0] == "t,px,py,vx,vy,pdx,pdy,vdx,vdy,clearance"
     assert len(lines) == len(rep.samples) + 1
+
+
+def test_decision_wall_time_covers_every_plan(monkeypatch):
+    # each clock read advances 1/32 s, so a decision read twice takes exactly
+    # 1/32 s however many plans the expert runs in between
+    clock = SimpleNamespace(perf_counter=itertools.count(0.0, 0.03125).__next__)
+    monkeypatch.setattr(replan, "time", clock)
+    spec = SceneSpec(bounds=(-2.0, -4.0, 12.0, 4.0), start=(0.0, 0.0), goal=(10.0, 0.0))
+    rc = RunConfig.from_dict({"use_wall_time": True})
+    rep = run_episode(GridWorld(spec, rc.resolution), InitStrategy("expert"), rc, seed=0)
+    assert rep.replan_count > 0
+    assert rep.plan_wall_times == [0.03125] * rep.replan_count
+    # ceil(1/32 s * 60 Hz) = 2 ticks on top of the configured latency
+    assert rep.plan_latencies == [rc.replan.latency + 2 / 60] * rep.replan_count
+
+
+def test_neo_refuses_a_model_of_another_piece_count(scene4_world):
+    # the default network emits 3-piece plans; an m_pieces 4 episode must not fly them
+    rc = RunConfig.from_dict({"m_pieces": 4})
+    model = MlpModel(rc.norm_constants(), seed=0)
+    rep = run_episode(scene4_world, InitStrategy("neural", model), rc, seed=3)
+    assert not rep.success
+    assert rep.failure_reason == "model_shape_mismatch"
+    assert rep.replan_count == 0
 
 
 def test_episode_contains_planner_error(scene4_world, default_setup, plan_fails_from_second_call):

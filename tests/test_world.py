@@ -132,7 +132,7 @@ def test_widest_width_range_accepted():
 
 def test_packing_failure():
     with pytest.raises(PackingFailure):
-        generate_scene(count=500, width_range=(1.0, 1.0), seed=0, max_attempts=2000)
+        generate_scene(count=500, width_range=(1.0, 1.0), seed=0)
 
 
 def test_scene_json_roundtrip(tmp_path):
