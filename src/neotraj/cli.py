@@ -23,7 +23,7 @@ import numpy as np
 
 from . import neural
 from .config import RunConfig
-from .errors import NeotrajError
+from .errors import ModelShapeMismatch, NeotrajError
 from .initializers import InitStrategy
 from .minco import BoundaryState, TrajParams, solve_coeffs
 from .objective import ObjectiveSetup, tau_to_time, total_objective
@@ -115,7 +115,9 @@ def cmd_collect(args) -> int:
 def cmd_train(args) -> int:
     rc = _load_config(args)
     records = neural.load_dataset(args.data)
-    model = neural.MlpModel(norm=rc.norm_constants(), seed=args.seed)
+    model = neural.MlpModel(norm=rc.norm_constants(),
+                            head_sizes=(*neural.HEAD_HIDDEN, neural.plan_width(rc.m_pieces)),
+                            seed=args.seed)
     model, curve = neural.train(records, model, args.lr, args.epochs, args.seed)
     model.save(args.out)
     loss_path = args.loss_out or str(args.out) + ".loss.csv"
@@ -305,7 +307,13 @@ def _svg_bars(path, title, labels, series: dict) -> None:
 def cmd_bench(args) -> int:
     rc = _load_config(args)
     # building each strategy checks its name and model before any episode flies
-    inits = [_build_strategy(s.strip(), args.model).kind for s in args.inits.split(",") if s.strip()]
+    strategies = [_build_strategy(s.strip(), args.model) for s in args.inits.split(",") if s.strip()]
+    width = neural.plan_width(rc.m_pieces)
+    for strategy in strategies:
+        if strategy.model is not None and strategy.model.n_outputs != width:
+            raise ModelShapeMismatch(f"{args.model} emits {strategy.model.n_outputs} outputs; "
+                                     f"m_pieces={rc.m_pieces} needs {width}")
+    inits = [strategy.kind for strategy in strategies]
     scenes = [_scene_token(t) for t in args.scenes]
     os.makedirs(args.out_dir, exist_ok=True)
     tasks = _make_tasks(scenes, inits, args.runs, args.seed, rc, args.model)

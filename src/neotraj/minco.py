@@ -16,14 +16,14 @@ position right], end boundary) the bandwidth is lower 3S-2, upper S+1
 for M >= 2.  Its pattern, its constant entries and, for every entry that
 depends on a duration, the unit coefficient and the power of tbar it
 scales with are fixed by (M, S); they are built once per (M, S) as a
-template, so assembling A(tbar) is one vectorised power-and-scatter into
-band storage.  Banded LU factorizations of A and A^T, linear in M, serve
-all D dimensions of the forward solve and of the adjoint solve
-A^T G = dK/dC, and the same template gives dA/dtbar for the duration
-gradient.  Because the
-continuity orders extend to 2S-2, the unique solution is also the
-minimizer of the integral of the squared S-th derivative among all
-C^{S-1} splines through the same waypoints.
+template, with each entry's flat index in the band storage of A and of
+A^T.  Assembling the system for one tbar raises the entries to their powers
+once and scatters them into both storages.  Banded LU factorizations of A
+and A^T, linear in M, serve all D dimensions of the forward solve and of
+the adjoint solve A^T G = dK/dC, and the same template gives dA/dtbar for
+the duration gradient.  Because the continuity orders extend to 2S-2, the
+unique solution is also the minimizer of the integral of the squared S-th
+derivative among all C^{S-1} splines through the same waypoints.
 """
 
 from __future__ import annotations
@@ -183,8 +183,12 @@ class _Template(NamedTuple):
     Nonzero e is A[rows[e], cols[e]] = coef[e] * tbar[piece[e]] ** pw[e]
     (pw = 0 for the constant entries); lower and upper are A's bandwidths.
     Row r depends on the duration of piece row_piece[r] (0 if on none).
-    knots[i] is the row of the left position-interpolation constraint of
-    interior knot i+1; the right one is the next row.
+    Between the S start and the S end rows, each interior knot owns a block
+    of 2S rows that ends in its left and right position-interpolation
+    constraints (see _knot_blocks).  band and band_t are the flat (column-
+    major) index of every entry in the band storage of A and of A^T; d_flat,
+    d_coef = coef * pw and d_pw = pw - 1 place and scale the entries of
+    dA/dtbar in the (2SM, 2S) rows that propagate_gradients reduces.
     """
 
     rows: np.ndarray
@@ -195,7 +199,11 @@ class _Template(NamedTuple):
     lower: int
     upper: int
     row_piece: np.ndarray
-    knots: np.ndarray
+    band: np.ndarray
+    band_t: np.ndarray
+    d_flat: np.ndarray
+    d_coef: np.ndarray
+    d_pw: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,8 +234,20 @@ def _template(m: int, s_order: int) -> _Template:
     rows, cols, coef, piece, pw = (np.array(v) for v in zip(*entries))
     row_piece = np.zeros(n * m, dtype=int)
     row_piece[rows[pw > 0]] = piece[pw > 0]
-    return _Template(rows, cols, coef, piece, pw, int(max(rows - cols)), int(max(cols - rows)),
-                     row_piece, s_order + n * np.arange(m - 1) + n - 2)
+    lower, upper = int(max(rows - cols)), int(max(cols - rows))
+    # (row, col) of A's entry (r, c) in band storage: (lower + upper + r - c, c)
+    band = lower + upper + rows - cols + cols * (2 * lower + upper + 1)
+    band_t = upper + lower + cols - rows + rows * (2 * upper + lower + 1)
+    return _Template(rows, cols, coef, piece, pw, lower, upper, row_piece, band, band_t,
+                     rows * n + cols % n, coef * pw, pw - 1)
+
+
+def _band_storage(tp: _Template, entries: np.ndarray, transpose: bool):
+    """A's nonzero entries placed in the LAPACK band storage of A, or of A^T."""
+    lo, up = (tp.upper, tp.lower) if transpose else (tp.lower, tp.upper)
+    ab = np.zeros((2 * lo + up + 1, tp.row_piece.size), order="F")
+    ab.ravel(order="F")[tp.band_t if transpose else tp.band] = entries
+    return ab, lo, up
 
 
 def band_matrix(durations: np.ndarray, s_order: int, transpose: bool = False):
@@ -238,11 +258,7 @@ def band_matrix(durations: np.ndarray, s_order: int, transpose: bool = False):
     """
     durations = np.asarray(durations, dtype=float).ravel()
     tp = _template(durations.size, s_order)
-    rows, cols, lo, up = (tp.rows, tp.cols, tp.lower, tp.upper) if not transpose else (
-        tp.cols, tp.rows, tp.upper, tp.lower)
-    ab = np.zeros((2 * lo + up + 1, tp.row_piece.size), order="F")
-    ab[lo + up + rows - cols, cols] = tp.coef * durations[tp.piece] ** tp.pw
-    return ab, lo, up
+    return _band_storage(tp, tp.coef * durations[tp.piece] ** tp.pw, transpose)
 
 
 # Banded LAPACK: linear in M, and single-threaded at these sizes.  The dense
@@ -264,8 +280,9 @@ class BandedSystem:
     def __init__(self, durations: np.ndarray, s_order: int):
         self.durations = np.asarray(durations, dtype=float).ravel()
         self.s_order = s_order
-        self.template = _template(self.durations.size, s_order)
-        self._factors = [self._factor(*band_matrix(self.durations, s_order, t)) for t in (0, 1)]
+        self.template = tp = _template(self.durations.size, s_order)
+        entries = tp.coef * self.durations[tp.piece] ** tp.pw  # raised once, for A and A^T
+        self._factors = [self._factor(*_band_storage(tp, entries, t)) for t in (False, True)]
 
     @staticmethod
     def _factor(ab, lower, upper):
@@ -283,13 +300,24 @@ class BandedSystem:
         return x
 
 
-def _build_rhs(init: BoundaryState, target: BoundaryState, params: TrajParams, s_order: int):
+def boundary_rows(init: BoundaryState, target: BoundaryState, s_order: int) -> np.ndarray:
+    """The right-hand side's boundary rows: derivatives 0..S-1 at the start, then at the end."""
+    return np.array([state.derivative(k) for state in (init, target) for k in range(s_order)])
+
+
+def _knot_blocks(rows: np.ndarray, s_order: int) -> np.ndarray:
+    """The (M-1, 2S, D) view of the rows of the interior knots' constraints; in
+    each block the last two rows interpolate the knot's waypoint from the left
+    and from the right."""
     n = 2 * s_order
-    b = np.zeros((n * params.n_pieces, init.position.size))
-    b[:s_order] = [init.derivative(k) for k in range(s_order)]
-    b[-s_order:] = [target.derivative(k) for k in range(s_order)]
-    knots = _template(params.n_pieces, s_order).knots
-    b[knots] = b[knots + 1] = params.waypoints.T
+    return rows[s_order:len(rows) - s_order].reshape(-1, n, rows.shape[1])
+
+
+def _build_rhs(ends: np.ndarray, params: TrajParams, s_order: int):
+    b = np.zeros((2 * s_order * params.n_pieces, ends.shape[1]))
+    b[:s_order] = ends[:s_order]
+    b[-s_order:] = ends[s_order:]
+    _knot_blocks(b, s_order)[:, -2:] = params.waypoints.T[:, None]
     return b
 
 
@@ -299,17 +327,22 @@ def solve_coeffs(
     params: TrajParams,
     s_order: int,
     system: BandedSystem | None = None,
+    ends: np.ndarray | None = None,
 ) -> Trajectory:
     """Map (Q, tbar) to the unique minimum-effort coefficient matrices.
 
     Solves the boundary-intermediate value problem once per call; all D
-    dimensions share the factorization (same A, stacked rhs).
+    dimensions share the factorization (same A, stacked rhs).  `ends` is
+    boundary_rows(init, target, s_order), for a caller that solves many
+    times between the same boundary states.
     """
-    if np.any(params.durations <= 0.0):
+    if (params.durations <= 0.0).any():
         raise NonPositiveDuration(f"durations must be positive, got {params.durations}")
     if system is None:
         system = BandedSystem(params.durations, s_order)
-    coeffs = system.solve(_build_rhs(init, target, params, s_order))
+    if ends is None:
+        ends = boundary_rows(init, target, s_order)
+    coeffs = system.solve(_build_rhs(ends, params, s_order))
     return Trajectory(coeffs.reshape(params.n_pieces, 2 * s_order, -1), params.durations.copy())
 
 
@@ -340,12 +373,13 @@ def propagate_gradients(
 
     g = system.solve(dk_dc.reshape(m * n, d), transpose=True)
     tp = system.template
-    dh_dq = (g[tp.knots] + g[tp.knots + 1]).T
+    knots = _knot_blocks(g, system.s_order)
+    dh_dq = (knots[:, -2] + knots[:, -1]).T
 
     # row r of dA/dtbar_i C is the next-order basis row at tbar_i times C_i;
     # the rows are reduced in ascending order, one dot product each
     drows = np.zeros((m * n, n))
-    drows[tp.rows, tp.cols % n] = tp.coef * tp.pw * system.durations[tp.piece] ** (tp.pw - 1)
+    drows.ravel()[tp.d_flat] = tp.d_coef * system.durations[tp.piece] ** tp.d_pw
     dvec = drows[:, None, :] @ traj.coefficients[tp.row_piece]  # (2SM, 1, D)
     dh_dt = dk_dt.copy()
     np.subtract.at(dh_dt, tp.row_piece, (dvec @ g[:, :, None])[:, 0, 0])

@@ -54,6 +54,11 @@ class NormConstants:
     tau_scale: float = 4.0
 
 
+# widths of the head's input (both branches' outputs) and hidden layers; the
+# output width follows from the number of pieces planned (plan_width)
+HEAD_HIDDEN = (48, 96, 96)
+
+
 def rotation(heading: float) -> np.ndarray:
     c, s = np.cos(heading), np.sin(heading)
     return np.array([[c, -s], [s, c]])
@@ -128,6 +133,12 @@ def decode_output(
     return TrajParams(q, tau_to_time(tau, tf))
 
 
+def plan_width(m_pieces: int) -> int:
+    """Outputs of a network that plans m_pieces planar pieces: the 2(M-1)
+    waypoint coordinates, then one tau per piece (decode_output's layout)."""
+    return 2 * (m_pieces - 1) + m_pieces
+
+
 def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
     return np.where(z > 0.0, z, slope * z)
 
@@ -144,7 +155,7 @@ class MlpModel:
         norm: NormConstants,
         depth_sizes=(64, 48, 24),
         inertial_sizes=(12, 24, 24),
-        head_sizes=(48, 96, 96, 7),
+        head_sizes=(*HEAD_HIDDEN, 7),
         slope: float = 0.01,
         seed: int = 0,
     ):

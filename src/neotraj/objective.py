@@ -10,18 +10,34 @@ tbar_i/kappa.  Durations are optimized through an unconstrained proxy
 variable tau via a scaled sigmoid, clipped where it saturates, which keeps
 every tbar_i strictly inside (tbar_min, tbar_max).
 
-Because the sample times are fixed fractions of each piece duration, the
-basis rows separate as unit-basis times powers of the duration; the unit
-parts are cached per (kappa, degree) so an evaluation only scales them.
-Every term works on all pieces at once: (M, kappa+1, N+1) sample bases
-against the trajectory's (M, N+1, D) coefficients, and returns dK/dC as
-one (M, N+1, D) array.
+Each evaluation does each piece of work once, at three lifetimes:
+
+  * per (kappa, N+1, S), in lru_caches: the unit sample bases of derivative
+    orders 0..3 and their duration exponents (the sample times are fixed
+    fractions of each piece, so a basis row is a unit row times powers of
+    the duration), the trapezoid weights and fractions, and the effort
+    term's factor and exponent tables; minco caches the constraint matrix's
+    structure per (M, S) the same way;
+  * per plan, in ObjectiveSetup: the boundary rows of the coefficient
+    system's right-hand side;
+  * per evaluation: the durations, one BandedSystem (A's entries raised to
+    their powers once, for A and A^T), one solve, and one Samples: the
+    (4, M, kappa+1, N+1) sample basis of all orders and pieces and its one
+    product with the (M, N+1, D) coefficients, which the obstacle and the
+    feasibility terms both read.
+
+Every term works on all pieces at once and returns dK/dC as one (M, N+1, D)
+array.  Every floating-point operation keeps the operands, the order and
+the numpy/BLAS call shape of the per-term code it replaced, so the results
+are bitwise those of that code (tests/test_bitwise_objective.py).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,14 +93,10 @@ class TimeTransform:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function."""
+    """Overflow-safe logistic function: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def _duration_map(tau: np.ndarray, tf: TimeTransform):
@@ -95,10 +107,9 @@ def _duration_map(tau: np.ndarray, tf: TimeTransform):
     inside; every unsaturated value passes through unchanged.
     """
     sig = _sigmoid(tau)
-    tbar = np.clip(
-        tf.span * sig + tf.t_min, np.nextafter(tf.t_min, np.inf), np.nextafter(tf.t_max, -np.inf)
-    )
-    return tbar, tf.span * sig * (1.0 - sig)
+    scaled = tf.span * sig
+    lo, hi = math.nextafter(tf.t_min, math.inf), math.nextafter(tf.t_max, -math.inf)
+    return np.minimum(np.maximum(scaled + tf.t_min, lo), hi), scaled * (1.0 - sig)
 
 
 def tau_to_time(tau: np.ndarray, tf: TimeTransform) -> np.ndarray:
@@ -115,23 +126,59 @@ def time_to_tau(tbar: np.ndarray, tf: TimeTransform) -> np.ndarray:
     return np.log(u / (1.0 - u))
 
 
+def _frozen(*arrays):
+    """Mark cached tables read-only: every caller shares them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=None)
-def _unit_bases(kappa: int, n: int, order: int):
-    """Unit sampling basis and duration exponents for fixed fractions j/kappa.
+def _unit_bases(kappa: int, n: int):
+    """Unit sampling bases of derivative orders 0..3 at the fractions j/kappa.
 
-    Basis rows at s = frac*t factor as unit[k, j] * t**pw[j]; returns
-    (unit (kappa+1, n), pw (n,)).
+    The order-k basis row at s = frac*t factors as unit[k, 0] * t**pw[k, 0];
+    returns (unit (4, 1, kappa+1, n), pw (4, 1, 1, n)), shaped against the
+    durations as an (M, 1, 1) column.
     """
-    pw = np.maximum(np.arange(n) - order, 0).astype(float)
-    unit = minco._basis_factors(n, order) * (np.arange(kappa + 1) / kappa)[:, None] ** pw
-    unit.flags.writeable = pw.flags.writeable = False  # shared through the cache
-    return unit, pw
+    frac = (np.arange(kappa + 1) / kappa)[:, None]
+    pws = [np.maximum(np.arange(n) - k, 0).astype(float) for k in range(4)]
+    unit = np.stack([minco._basis_factors(n, k) * frac**pw for k, pw in enumerate(pws)])
+    return _frozen(unit[:, None], np.stack(pws)[:, None, None, :])
 
 
-def _sample_bases(kappa: int, n: int, order: int, tbar: np.ndarray) -> np.ndarray:
-    """Order-th derivative basis at the kappa+1 samples of every piece, (M, kappa+1, n)."""
-    unit, pw = _unit_bases(kappa, n, order)
-    return unit * tbar[:, None, None] ** pw
+@functools.lru_cache(maxsize=None)
+def _trapezoid(kappa: int):
+    """Trapezoid weights (kappa+1,), the same as a column, and the sample fractions j/kappa."""
+    w = np.ones(kappa + 1)
+    w[0] = w[-1] = 0.5
+    return _frozen(w, w[:, None], np.arange(kappa + 1) / kappa)
+
+
+@functools.lru_cache(maxsize=None)
+def _effort_tables(n: int, s_order: int):
+    """S-th derivative factors as a column, twice them, and the powers of its square's integral."""
+    fac = minco._basis_factors(n, s_order)[s_order:, None]
+    a_idx = np.arange(n - s_order)  # powers of the S-th derivative
+    return _frozen(fac, 2.0 * fac, a_idx, a_idx[:, None] + a_idx[None, :] + 1)
+
+
+class Samples(NamedTuple):
+    """Derivatives 0..3 of every piece at its kappa+1 sample times.
+
+    basis (4, M, kappa+1, N+1) times the coefficients gives values
+    (4, M, kappa+1, D): position, velocity, acceleration and jerk.
+    """
+
+    basis: np.ndarray
+    values: np.ndarray
+
+
+def sample_trajectory(traj: Trajectory, kappa: int) -> Samples:
+    """The sample bases of all orders and pieces, and their one product with C."""
+    unit, pw = _unit_bases(kappa, traj.coefficients.shape[1])
+    basis = unit * traj.durations[:, None, None] ** pw
+    return Samples(basis, basis @ traj.coefficients)
 
 
 def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -142,20 +189,25 @@ def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _sum_in_order(values: np.ndarray) -> float:
+    """Sum from 0 left to right, as Python's sum over the array's elements."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
+
+
 def control_effort(traj: Trajectory, s_order: int):
     """Closed-form integral of the squared S-th derivative over all pieces.
 
     Returns (cost, dK_dC (M, N+1, D), dK_dt (M,)).
     """
     c, t = traj.coefficients, traj.durations
-    n = c.shape[1]
-    fac = minco._basis_factors(n, s_order)[s_order:]
-    a_idx = np.arange(n - s_order)  # powers of the S-th derivative
-    psum = a_idx[:, None] + a_idx[None, :] + 1
-    u = fac[:, None] * c[:, s_order:]  # (M, deg, D)
+    fac, fac2, a_idx, psum = _effort_tables(c.shape[1], s_order)
+    u = fac * c[:, s_order:]  # (M, deg, D)
     p = t[:, None, None] ** psum / psum
-    dk_dc = np.zeros_like(c)
-    dk_dc[:, s_order:] = 2.0 * fac[:, None] * (p @ u)
+    dk_dc = np.zeros(c.shape)
+    np.multiply(fac2, p @ u, out=dk_dc[:, s_order:])
     end_deriv = ((t[:, None] ** a_idx)[:, None, :] @ u)[:, 0]
     # one einsum per piece: a batched einsum may iterate the terms in another
     # order, and the cost would no longer be bitwise that of a per-piece sum
@@ -166,13 +218,7 @@ def control_effort(traj: Trajectory, s_order: int):
 def time_cost(tbar: np.ndarray):
     """Total trajectory time and its gradient (all ones)."""
     tbar = np.asarray(tbar, dtype=float)
-    return float(tbar.sum()), np.ones_like(tbar)
-
-
-def _trapezoid_weights(kappa: int) -> np.ndarray:
-    w = np.ones(kappa + 1)
-    w[0] = w[-1] = 0.5
-    return w
+    return float(tbar.sum()), np.ones(tbar.shape)
 
 
 def _sampled_penalty(traj: Trajectory, kappa: int, pen, dpen_dc, dpen_ds):
@@ -182,66 +228,73 @@ def _sampled_penalty(traj: Trajectory, kappa: int, pen, dpen_dc, dpen_ds):
     samples, dpen_ds (M, kappa+1) each penalty's derivative along piece-local
     time; sample k sits at s = tbar_i * k/kappa.  Returns (cost, dK_dC, dK_dt).
     """
-    w = _trapezoid_weights(kappa)
+    w, _, frac = _trapezoid(kappa)
     scale = traj.durations / kappa
     w_pen = _dot_last(w, pen)
-    dk_dt = (1.0 / kappa) * w_pen + scale * _dot_last(w, dpen_ds * (np.arange(kappa + 1) / kappa))
-    return float(sum(scale * w_pen)), scale[:, None, None] * dpen_dc, dk_dt
+    dk_dt = (1.0 / kappa) * w_pen + scale * _dot_last(w, dpen_ds * frac)
+    return _sum_in_order(scale * w_pen), scale[:, None, None] * dpen_dc, dk_dt
 
 
-def obstacle_cost(traj: Trajectory, world, cfg: PenaltyConfig):
+def obstacle_cost(traj: Trajectory, world, cfg: PenaltyConfig, samples: Samples | None = None):
     """Clearance penalty accumulated along trapezoid samples of each piece.
 
     Penalty at a sample is max(d_safe - dist, 0)^3 with dist taken from the
     world's bilinearly interpolated signed distance field, so inside an
     obstacle the penalty keeps growing with penetration depth and its
     gradient points out; out-of-bounds samples count as zero clearance.
+    `samples` is sample_trajectory(traj, cfg.kappa), built here if not given.
     Returns (cost, dK_dC, dK_dt).
     """
     kappa = cfg.kappa
-    c, t = traj.coefficients, traj.durations
-    m, n, d = c.shape
-    b0 = _sample_bases(kappa, n, 0, t)
-    dist, dgrad = world.query_distance((b0 @ c).reshape(-1, d))
+    c = traj.coefficients
+    m, _, d = c.shape
+    if samples is None:
+        samples = sample_trajectory(traj, kappa)
+    dist, dgrad = world.query_distance(samples.values[0].reshape(-1, d))
     gap = np.maximum(cfg.d_safe - dist, 0.0).reshape(m, kappa + 1)
     if not gap.any():
-        return 0.0, np.zeros_like(c), np.zeros(m)
-    w = _trapezoid_weights(kappa)
+        return 0.0, np.zeros(c.shape), np.zeros(m)
+    w = _trapezoid(kappa)[1]
     dpen_dpos = (-3.0 * gap**2)[..., None] * dgrad.reshape(m, kappa + 1, d)
-    vel = _sample_bases(kappa, n, 1, t) @ c
-    dpen_dc = b0.transpose(0, 2, 1) @ (w[:, None] * dpen_dpos)
-    return _sampled_penalty(traj, kappa, gap**3, dpen_dc, np.sum(dpen_dpos * vel, axis=2))
+    dpen_dc = samples.basis[0].transpose(0, 2, 1) @ (w * dpen_dpos)
+    dpen_ds = (dpen_dpos * samples.values[1]).sum(axis=2)
+    return _sampled_penalty(traj, kappa, gap**3, dpen_dc, dpen_ds)
 
 
-def feasibility_cost(traj: Trajectory, cfg: PenaltyConfig):
+def feasibility_cost(traj: Trajectory, cfg: PenaltyConfig, samples: Samples | None = None):
     """Velocity/acceleration limit penalty with the same sampling scheme.
 
     Penalty is max(|v|^2 - v_max^2, 0)^3 + max(|a|^2 - a_max^2, 0)^3.
+    `samples` is sample_trajectory(traj, cfg.kappa), built here if not given.
     Returns (cost, dK_dC, dK_dt).
     """
     kappa = cfg.kappa
-    c, t = traj.coefficients, traj.durations
-    m, n, _ = c.shape
-    b1 = _sample_bases(kappa, n, 1, t)
-    b2 = _sample_bases(kappa, n, 2, t)
-    vel, acc = b1 @ c, b2 @ c
-    ev = np.maximum(np.sum(vel**2, axis=2) - cfg.v_max**2, 0.0)
-    ea = np.maximum(np.sum(acc**2, axis=2) - cfg.a_max**2, 0.0)
-    if not (ev.any() or ea.any()):
-        return 0.0, np.zeros_like(c), np.zeros(m)
-    w = _trapezoid_weights(kappa)[:, None]
-    jrk = _sample_bases(kappa, n, 3, t) @ c
-    b1t, b2t = b1.transpose(0, 2, 1), b2.transpose(0, 2, 1)
-    dpen_dc = (b1t @ (w * (6.0 * ev**2)[..., None] * vel)
-               + b2t @ (w * (6.0 * ea**2)[..., None] * acc))
+    c = traj.coefficients
+    if samples is None:
+        samples = sample_trajectory(traj, kappa)
+    # velocity and acceleration stacked on axis 0 through every step
+    va = samples.values[1:3]
+    limits = np.array([cfg.v_max**2, cfg.a_max**2])[:, None, None]
+    excess = np.maximum((va**2).sum(axis=3) - limits, 0.0)
+    if not excess.any():
+        return 0.0, np.zeros(c.shape), np.zeros(len(c))
+    w = _trapezoid(kappa)[1]
+    grow = 6.0 * excess**2
+    dpen_dc = samples.basis[1:3].transpose(0, 1, 3, 2) @ (w * grow[..., None] * va)
     # sample-time dependence: d|v|^2/ds = 2 v.a, d|a|^2/ds = 2 a.jerk
-    dpen_ds = 6.0 * ev**2 * np.sum(vel * acc, axis=2) + 6.0 * ea**2 * np.sum(acc * jrk, axis=2)
-    return _sampled_penalty(traj, kappa, ev**3 + ea**3, dpen_dc, dpen_ds)
+    dpen_ds = grow * (va * samples.values[2:4]).sum(axis=3)
+    pen = excess**3
+    return _sampled_penalty(traj, kappa, pen[0] + pen[1], dpen_dc[0] + dpen_dc[1],
+                            dpen_ds[0] + dpen_ds[1])
 
 
 @dataclass
 class ObjectiveSetup:
-    """Everything fixed during one optimization run."""
+    """Everything fixed during one optimization run.
+
+    `ends`, the boundary rows of the coefficient system's right-hand side,
+    is built from init and target once, for every evaluation of the run.
+    """
 
     init: BoundaryState
     target: BoundaryState
@@ -250,6 +303,10 @@ class ObjectiveSetup:
     penalty: PenaltyConfig
     transform: TimeTransform
     s_order: int
+    ends: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.ends = minco.boundary_rows(self.init, self.target, self.s_order)
 
 
 def total_objective(q: np.ndarray, tau: np.ndarray, setup: ObjectiveSetup):
@@ -257,38 +314,44 @@ def total_objective(q: np.ndarray, tau: np.ndarray, setup: ObjectiveSetup):
 
     Maps tau to durations, solves the coefficient system, sums the weighted
     terms, propagates gradients back to (Q, tbar) and applies the tau chain
-    rule.  Pure: identical inputs give identical outputs.
+    rule.  The obstacle and feasibility terms share one Samples.  Pure:
+    identical inputs give identical outputs.
 
     Returns (H, dH_dQ, dH_dtau).
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
     tau = np.asarray(tau, dtype=float).ravel()
-    w = setup.weights
+    w, pen = setup.weights, setup.penalty
     tbar, dtbar_dtau = _duration_map(tau, setup.transform)
     params = TrajParams(q, tbar)
     system = BandedSystem(tbar, setup.s_order)
-    traj = minco.solve_coeffs(setup.init, setup.target, params, setup.s_order, system)
+    traj = minco.solve_coeffs(setup.init, setup.target, params, setup.s_order, system, setup.ends)
 
-    cost = 0.0
-    dk_dc = np.zeros_like(traj.coefficients)
-    dk_dt = np.zeros(traj.n_pieces)
-
-    def accumulate(term_cost, term_dc, term_dt, weight):
-        nonlocal cost
-        cost += weight * term_cost
-        dk_dc[...] += weight * term_dc
-        dk_dt[...] += weight * term_dt
-
+    terms = []  # (weight, (cost, dK_dC or None, dK_dt)) in the order they are summed
     if w.effort != 0.0:
-        accumulate(*control_effort(traj, setup.s_order), w.effort)
+        terms.append((w.effort, control_effort(traj, setup.s_order)))
     if w.time != 0.0:
         tc, tg = time_cost(tbar)
-        cost += w.time * tc
-        dk_dt += w.time * tg
-    if w.obstacle != 0.0 and setup.world is not None:
-        accumulate(*obstacle_cost(traj, setup.world, setup.penalty), w.obstacle)
-    if w.feasibility != 0.0:
-        accumulate(*feasibility_cost(traj, setup.penalty), w.feasibility)
+        terms.append((w.time, (tc, None, tg)))
+    obstacle = w.obstacle != 0.0 and setup.world is not None
+    if obstacle or w.feasibility != 0.0:
+        samples = sample_trajectory(traj, pen.kappa)
+        if obstacle:
+            terms.append((w.obstacle, obstacle_cost(traj, setup.world, pen, samples)))
+        if w.feasibility != 0.0:
+            terms.append((w.feasibility, feasibility_cost(traj, pen, samples)))
+
+    cost = 0.0
+    dk_dc = np.zeros(traj.coefficients.shape)
+    dk_dt = np.zeros(traj.n_pieces)
+    for weight, (term_cost, term_dc, term_dt) in terms:
+        cost += weight * term_cost
+        if weight != 1.0:  # a unit weight changes no bit
+            term_dt = weight * term_dt
+            term_dc = None if term_dc is None else weight * term_dc
+        if term_dc is not None:
+            dk_dc += term_dc
+        dk_dt += term_dt
 
     dh_dq, dh_dt = minco.propagate_gradients(traj, dk_dc, dk_dt, system)
     return cost, dh_dq, dh_dt * dtbar_dtau

@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 import re
 import time
 from dataclasses import dataclass, field, fields
@@ -78,6 +79,11 @@ class CommittedTrajectory:
         return traj.eval_state(s)
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a float vector by its own formula, sqrt(v.dot(v)), without its overhead."""
+    return math.sqrt(v.dot(v))
+
+
 def select_local_goal(
     world: GridWorld, position, global_goal, setup: RunConfig
 ) -> BoundaryState:
@@ -92,7 +98,7 @@ def select_local_goal(
     position = np.asarray(position, dtype=float)
     goal = np.asarray(global_goal, dtype=float)
     to_goal = goal - position
-    dist = float(np.linalg.norm(to_goal))
+    dist = _norm(to_goal)
     if dist <= lookahead:
         candidate = goal.copy()
         velocity = np.zeros(2)
@@ -103,7 +109,7 @@ def select_local_goal(
     if world.distance_at(candidate) < d_safe:
         candidate = _nearest_clear_cell(world, candidate, d_safe)
         direction = goal - candidate
-        n = float(np.linalg.norm(direction))
+        n = _norm(direction)
         velocity = v_max * direction / n if n > 1e-9 else np.zeros(2)
     return BoundaryState(candidate, velocity)
 
@@ -279,7 +285,7 @@ def run_episode(
         pd, vd, ad = committed.query(t)
         if tick > 0:
             report.max_command_jump = max(
-                report.max_command_jump, float(np.linalg.norm(pd - prev_pd))
+                report.max_command_jump, _norm(pd - prev_pd)
             )
         prev_pd = pd
         if tick % log_01 == 0:
@@ -291,7 +297,7 @@ def run_episode(
                 [float(v) for v in (t, pos[0], pos[1], vel[0], vel[1], pd[0], pd[1], vd[0], vd[1], clearance)]
             )
 
-        if float(np.linalg.norm(pos - goal)) <= rc.goal_tolerance:
+        if _norm(pos - goal) <= rc.goal_tolerance:
             report.success = True
             report.flight_time = t
             break
@@ -301,7 +307,7 @@ def run_episode(
             break
 
         accel = rc.kp * (pd - pos) + rc.kv * (vd - vel) + ad
-        a_norm = float(np.linalg.norm(accel))
+        a_norm = _norm(accel)
         a_cap = 3.0 * setup.penalty.a_max
         if a_norm > a_cap:
             accel *= a_cap / a_norm

@@ -9,6 +9,7 @@ usable plan.  The flat variable layout is [Q column-major, then tau].
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ def _cubic_min(a, fa, da, b, fb, db):
     disc = d1 * d1 - da * db
     if disc < 0.0:
         return None
-    d2 = np.sqrt(disc) * np.sign(b - a)
+    d2 = math.sqrt(disc) * np.sign(b - a)
     denom = db - da + 2.0 * d2
     if denom == 0.0:
         return None
@@ -65,13 +66,13 @@ def _cubic_min(a, fa, da, b, fb, db):
 
 def _wolfe_search(func, x, f0, g0, direction, cfg: SolverConfig, first_step: float):
     """Strong-Wolfe line search.  Returns (alpha, f, g) or None on failure."""
-    dphi0 = float(g0 @ direction)
+    dphi0 = float(g0.dot(direction))
     if dphi0 >= 0.0:
         return None
 
     def phi(a):
         fa, ga = func(x + a * direction)
-        return fa, ga, float(ga @ direction)
+        return fa, ga, float(ga.dot(direction))
 
     def zoom(lo, f_lo, d_lo, hi, f_hi, d_hi, budget):
         for _ in range(budget):
@@ -79,13 +80,13 @@ def _wolfe_search(func, x, f0, g0, direction, cfg: SolverConfig, first_step: flo
             width = abs(hi - lo)
             if (
                 a is None
-                or not np.isfinite(a)
+                or not math.isfinite(a)
                 or a <= min(lo, hi) + 0.1 * width
                 or a >= max(lo, hi) - 0.1 * width
             ):
                 a = 0.5 * (lo + hi)
             fa, ga, da = phi(a)
-            if not np.isfinite(fa) or fa > f0 + cfg.c1 * a * dphi0 or fa >= f_lo:
+            if not math.isfinite(fa) or fa > f0 + cfg.c1 * a * dphi0 or fa >= f_lo:
                 hi, f_hi, d_hi = a, fa, da
             else:
                 if abs(da) <= -cfg.c2 * dphi0:
@@ -104,7 +105,7 @@ def _wolfe_search(func, x, f0, g0, direction, cfg: SolverConfig, first_step: flo
     a = first_step
     for it in range(cfg.max_ls_steps):
         fa, ga, da = phi(a)
-        if not np.isfinite(fa):
+        if not math.isfinite(fa):
             a = 0.5 * (a_prev + a)
             continue
         if fa > f0 + cfg.c1 * a * dphi0 or (it > 0 and fa >= f_prev):
@@ -138,7 +139,7 @@ def minimize(f, x0: np.ndarray, cfg: SolverConfig):
     if not (np.isfinite(fx) and np.all(np.isfinite(g))):
         raise NonFiniteObjective("objective not finite at the initial point")
 
-    if np.max(np.abs(g)) <= cfg.g_tol:
+    if abs(g).max() <= cfg.g_tol:
         return x, fx, 0, evals, True
 
     history: deque = deque(maxlen=cfg.history)  # (s, y, rho) pairs, oldest first
@@ -149,23 +150,21 @@ def minimize(f, x0: np.ndarray, cfg: SolverConfig):
         q = g.copy()
         alphas = []
         for s, y, rho in reversed(history):
-            a = rho * (s @ q)
+            a = rho * s.dot(q)
             alphas.append(a)
             q -= a * y
         if history:
             s, y, _ = history[-1]
-            gamma = (s @ y) / (y @ y)
-            q *= gamma
+            q *= s.dot(y) / y.dot(y)
         for (s, y, rho), a in zip(history, reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
+            q += (a - rho * y.dot(q)) * s
         direction = -q
-        if direction @ g >= 0.0:  # safeguard: fall back to steepest descent
+        if direction.dot(g) >= 0.0:  # safeguard: fall back to steepest descent
             history.clear()
             direction = -g
 
         # without curvature history the unit step can be wildly out of scale
-        first_step = 1.0 if history else min(1.0, 1.0 / max(1.0, float(np.max(np.abs(g)))))
+        first_step = 1.0 if history else min(1.0, 1.0 / max(1.0, float(abs(g).max())))
         result = _wolfe_search(func, x, fx, g, direction, cfg, first_step)
         if result is None:
             break
@@ -173,13 +172,14 @@ def minimize(f, x0: np.ndarray, cfg: SolverConfig):
         k += 1
         s = alpha * direction
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * float(np.linalg.norm(s) * np.linalg.norm(y) + 1e-300):
+        sy = float(s.dot(y))
+        # |s| |y| as np.linalg.norm computes a vector's norm: sqrt(v.dot(v))
+        if sy > 1e-12 * (math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)) + 1e-300):
             history.append((s, y, 1.0 / sy))
         f_decrease = fx - f_new
         x = x + s
         fx, g = f_new, g_new
-        if np.max(np.abs(g)) <= cfg.g_tol:
+        if abs(g).max() <= cfg.g_tol:
             converged = True
             break
         if f_decrease <= cfg.f_tol * max(1.0, abs(fx)):
@@ -220,7 +220,7 @@ def plan(
     def f(x):
         q, tau = unpack(x)
         h, dq, dtau = objective.total_objective(q, tau, setup)
-        return h, np.concatenate([dq.flatten(order="F"), dtau])
+        return h, np.concatenate((dq.ravel(order="F"), dtau))
 
     x, cost, iters, evals, converged = minimize(f, x0, solver_cfg)
     q, tau = unpack(x)

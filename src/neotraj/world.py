@@ -12,10 +12,12 @@ Random scenes follow the six preset obstacle-count/width classes; presets
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -143,6 +145,17 @@ def generate_scene(
     return SceneSpec(obstacles=obstacles, seed=seed, name=name)
 
 
+class _Lookup(NamedTuple):
+    """Constants of the vector lookup: the bounds, and columns against (2, K) points."""
+
+    lo: np.ndarray  # (2, 1): xmin, ymin
+    hi: np.ndarray  # (2, 1): xmax, ymax
+    origin: np.ndarray  # (2, 1)
+    cell_max: np.ndarray  # (2, 1): the last lower-corner cell along x and y
+    corners: np.ndarray  # (4, 1): flat offsets of the corners 00, 10, 01, 11
+    flat: np.ndarray  # the field, raveled
+
+
 class GridWorld:
     """Immutable rasterized scene with an exact signed Euclidean distance field.
 
@@ -205,6 +218,15 @@ class GridWorld:
     def cell_center(self, ix: int, iy: int) -> np.ndarray:
         return self.origin + (np.array([ix, iy]) + 0.5) * self.resolution
 
+    @functools.cached_property
+    def _lookup(self) -> _Lookup:
+        xmin, ymin, xmax, ymax = self.bounds
+        nx, ny = self.nx, self.ny
+        return _Lookup(np.array([[xmin], [ymin]], dtype=float),
+                       np.array([[xmax], [ymax]], dtype=float),
+                       self.origin[:, None], np.array([[nx - 2], [ny - 2]]),
+                       np.array([[0], [1], [nx], [nx + 1]]), self.field.ravel())
+
     def query_distance(self, points: np.ndarray):
         """Bilinear distance-field lookup with its exact gradient.
 
@@ -212,42 +234,40 @@ class GridWorld:
         penalty) with zero gradient.  Returns (dist (K,), grad (K, 2)).
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
+        rows = points.T.copy()  # x and y as contiguous rows
+        lk = self._lookup
+        if (rows >= lk.lo).all() and (rows <= lk.hi).all():
+            return self._bilinear(rows)  # every point in bounds: nothing to mask
         k = points.shape[0]
         dist = np.zeros(k)
         grad = np.zeros((k, 2))
         inside = self.in_bounds(points)
-        if not inside.any():
-            return dist, grad
-        d, ddx, ddy = self._bilinear(points[inside])
-        dist[inside] = d
-        grad[inside, 0] = ddx
-        grad[inside, 1] = ddy
+        if inside.any():
+            dist[inside], grad[inside] = self._bilinear(rows[:, inside])
         return dist, grad
 
-    def _bilinear(self, p: np.ndarray):
-        """Interpolated distance and its x, y derivatives at in-bounds points p.
+    def _bilinear(self, rows: np.ndarray):
+        """Interpolated distance and its gradient (K, 2) at in-bounds points (rows x, y).
 
         Both axes go through each elementwise step together; the arithmetic
         per coordinate is distance_at's, operation for operation.
         """
+        lk = self._lookup
         # continuous cell-center coordinates, the lower corner cell, the fraction
-        g = (p - self.origin) / self.resolution - 0.5
-        ij = np.minimum(np.maximum(np.floor(g).astype(int), 0), (self.nx - 2, self.ny - 2))
+        g = (rows - lk.origin) / self.resolution - 0.5
+        ij = np.minimum(np.maximum(g, 0.0).astype(int), lk.cell_max)
         f = np.minimum(np.maximum(g - ij, 0.0), 1.0)
         e = 1 - f
-        fx, fy, ex, ey = f[:, 0], f[:, 1], e[:, 0], e[:, 1]
-        # the four corners, gathered by flat index from the C-ordered field
-        flat = self.field.ravel()
-        k00 = ij[:, 1] * self.nx + ij[:, 0]
-        k01 = k00 + self.nx
-        v00 = flat[k00]
-        v10 = flat[k00 + 1]
-        v01 = flat[k01]
-        v11 = flat[k01 + 1]
+        fx, fy = f
+        ex, ey = e
+        # the corners 00, 10, 01, 11, gathered by flat index from the C-ordered field
+        v00, v10, v01, v11 = v = lk.flat[ij[1] * self.nx + ij[0] + lk.corners]
         d = v00 * ex * ey + v10 * fx * ey + v01 * ex * fy + v11 * fx * fy
-        ddx = ((v10 - v00) * ey + (v11 - v01) * fy) / self.resolution
-        ddy = ((v01 - v00) * ex + (v11 - v10) * fx) / self.resolution
-        return d, ddx, ddy
+        # rows x, y: (v10 - v00) * ey + (v11 - v01) * fy and (v01 - v00) * ex + (v11 - v10) * fx
+        grad = np.empty((rows.shape[1], 2))
+        np.divide((v[1:3] - v00) * e[::-1] + (v11 - v[2:0:-1]) * f[::-1], self.resolution,
+                  out=grad.T)
+        return d, grad
 
     def distance_at(self, point) -> float:
         """query_distance of one point, in Python floats: same arithmetic, same order."""
@@ -292,26 +312,35 @@ class GridWorld:
             depths[r] = self._cast_ray(position, np.cos(ang), np.sin(ang), max_range)
         return depths
 
+    @functools.cached_property
+    def _occupied_rows(self) -> list[list[bool]]:
+        """occupancy as nested lists, for the per-cell reads of the ray walk."""
+        return self.occupancy.tolist()
+
     def _cast_ray(self, pos, dx, dy, max_range) -> float:
+        """Depth along one ray, walked in Python floats: the same IEEE operations
+        in the same order as numpy scalars would do them."""
         res = self.resolution
         ix, iy = self.cell_index(pos)
-        if self.occupancy[iy, ix]:
+        occupied = self._occupied_rows
+        if occupied[iy][ix]:
             return 0.0
+        px, py, dx, dy = float(pos[0]), float(pos[1]), float(dx), float(dy)
+        ox, oy = self.origin.tolist()
         step_x = 1 if dx >= 0 else -1
         step_y = 1 if dy >= 0 else -1
         # parametric distance to the next vertical / horizontal cell border
         if dx != 0:
-            next_x = self.origin[0] + (ix + (step_x > 0)) * res
-            t_max_x = (next_x - pos[0]) / dx
+            t_max_x = (ox + (ix + (step_x > 0)) * res - px) / dx
             t_dx = res / abs(dx)
         else:
-            t_max_x, t_dx = np.inf, np.inf
+            t_max_x = t_dx = math.inf
         if dy != 0:
-            next_y = self.origin[1] + (iy + (step_y > 0)) * res
-            t_max_y = (next_y - pos[1]) / dy
+            t_max_y = (oy + (iy + (step_y > 0)) * res - py) / dy
             t_dy = res / abs(dy)
         else:
-            t_max_y, t_dy = np.inf, np.inf
+            t_max_y = t_dy = math.inf
+        nx, ny = self.nx, self.ny
         t = 0.0
         while t <= max_range:
             if t_max_x < t_max_y:
@@ -322,9 +351,8 @@ class GridWorld:
                 t = t_max_y
                 t_max_y += t_dy
                 iy += step_y
-            if not (0 <= ix < self.nx and 0 <= iy < self.ny):
+            if not (0 <= ix < nx and 0 <= iy < ny):
                 return max_range
-            if self.occupancy[iy, ix]:
+            if occupied[iy][ix]:
                 return min(t, max_range)
         return max_range
-

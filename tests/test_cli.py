@@ -295,6 +295,47 @@ def test_bench_rejects_unknown_init_before_flying(tmp_path, monkeypatch, capsys)
     assert flown == []
 
 
+def test_bench_rejects_a_model_that_does_not_fit_m_pieces(tmp_path, monkeypatch, capsys):
+    # the committed model emits 3-piece plans (7 outputs); m_pieces 4 needs 10
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")  # in-process, so the counter sees every episode
+    flown = []
+    real_run_episode = cli.run_episode
+
+    def counting(*args, **kwargs):
+        flown.append(1)
+        return real_run_episode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_episode", counting)
+    config = tmp_path / "m4.json"
+    config.write_text(json.dumps({"m_pieces": 4}))
+    model = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "neo_model.json"
+    assert run(["bench", "--config", config, "--scenes", "4", "5", "--runs", 1,
+                "--inits", "baseline,neo", "--model", model, "--out-dir", tmp_path / "b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1 and "m_pieces=4 needs 10" in err
+    assert flown == [] and not (tmp_path / "b").exists()
+
+
+@pytest.mark.slow
+def test_collect_train_bench_with_four_pieces(tmp_path, monkeypatch):
+    # train sizes the network's head from the config, so a 4-piece pipeline runs through
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    config = tmp_path / "m4.json"
+    config.write_text(json.dumps({"m_pieces": 4}))
+    data, model = tmp_path / "m4.jsonl", tmp_path / "m4_model.json"
+    assert run(["collect", "--config", config, "--scenes", "4", "--episodes", 1, "--seed", 3,
+                "--out", data]) == 0
+    assert run(["train", "--config", config, "--data", data, "--epochs", 5, "--seed", 0,
+                "--out", model]) == 0
+    assert json.loads(model.read_text())["head_sizes"][-1] == 10
+    out = tmp_path / "b"
+    assert run(["bench", "--config", config, "--scenes", "4", "--runs", 1, "--inits", "neo",
+                "--model", model, "--seed", 1, "--out-dir", out]) == 0
+    episodes = [json.loads(line) for line in (out / "episodes.jsonl").read_text().splitlines()]
+    assert len(episodes) == 1 and episodes[0]["replan_count"] > 0
+    assert episodes[0]["failure_reason"] != "model_shape_mismatch"
+
+
 @pytest.mark.parametrize("args", [
     ["gradcheck", "--trials", -3],
     ["scene", "--count", -2, "--out", "s.json"],
