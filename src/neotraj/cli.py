@@ -26,7 +26,7 @@ from .config import RunConfig
 from .errors import ModelShapeMismatch, NeotrajError
 from .initializers import InitStrategy
 from .minco import BoundaryState, TrajParams, solve_coeffs
-from .objective import ObjectiveSetup, tau_to_time, total_objective
+from .objective import ObjectiveSetup, sample_trajectory, tau_to_time, total_objective
 from .replan import derive_seed, run_episode, select_local_goal
 from .world import FIXED_PRESETS, RANDOM_PRESETS, GridWorld, SceneSpec, generate_scene
 
@@ -88,7 +88,7 @@ def cmd_collect(args) -> int:
             label = token.name or f"fixed-ep{ep}"
         else:
             label = f"scene{token}-ep{ep}"
-        tasks.append({"index": ep, "scene": token, "scene_label": label,
+        tasks.append({"scene": token, "scene_label": label,
                       "seed": derive_seed(args.seed, ep), "config": rc})
     results = _run_tasks(tasks, _collect_episode)
     # records of failed episodes are dropped; the summary counts them
@@ -116,6 +116,7 @@ def cmd_train(args) -> int:
     rc = _load_config(args)
     records = neural.load_dataset(args.data)
     model = neural.MlpModel(norm=rc.norm_constants(),
+                            depth_sizes=(rc.n_rays, *neural.DEPTH_HIDDEN),
                             head_sizes=(*neural.HEAD_HIDDEN, neural.plan_width(rc.m_pieces)),
                             seed=args.seed)
     model, curve = neural.train(records, model, args.lr, args.epochs, args.seed)
@@ -137,18 +138,25 @@ def _load_model(path) -> neural.MlpModel:
     return neural.MlpModel.load(path)
 
 
-def _build_strategy(init: str, model_path) -> InitStrategy:
-    """The strategy behind a CLI init name (`neo` is the neural initializer)."""
-    if init in ("neo", "neural"):
-        if not model_path:
-            raise ValueError(f"init {init} requires --model")
-        return InitStrategy("neural", _load_model(model_path))
-    return InitStrategy(init)
+def _build_strategy(init: str, model_path, rc: RunConfig) -> InitStrategy:
+    """The strategy behind a CLI init name (`neo` is the neural initializer);
+    a neo model must read rc.n_rays depths and plan rc.m_pieces pieces."""
+    if init not in ("neo", "neural"):
+        return InitStrategy(init)
+    if not model_path:
+        raise ValueError(f"init {init} requires --model")
+    model = _load_model(model_path)
+    depths, width = model.depth_sizes[0], neural.plan_width(rc.m_pieces)
+    if (depths, model.n_outputs) != (rc.n_rays, width):
+        raise ModelShapeMismatch(
+            f"{model_path} reads {depths} depths and emits {model.n_outputs} outputs; "
+            f"n_rays={rc.n_rays} needs {rc.n_rays} depths, m_pieces={rc.m_pieces} needs {width}")
+    return InitStrategy("neural", model)
 
 
 def _fly(token, init: str, model_path, rc: RunConfig, seed: int, sample_sink=None):
     """One episode: a scene file's world, or preset `token`'s world drawn from seed."""
-    strategy = _build_strategy(init, model_path)
+    strategy = _build_strategy(init, model_path, rc)
     spec = token if isinstance(token, SceneSpec) else generate_scene(preset=token, seed=seed)
     return run_episode(GridWorld(spec, rc.resolution), strategy, rc, seed=seed,
                        sample_sink=sample_sink)
@@ -194,7 +202,7 @@ def _collect_episode(task: dict) -> dict:
         })
 
     report = _fly(task["scene"], "expert", None, task["config"], task["seed"], sink)
-    return {"index": task["index"], "success": report.success, "records": records}
+    return {"success": report.success, "records": records}
 
 
 def _pool_size() -> int:
@@ -205,15 +213,12 @@ def _pool_size() -> int:
 
 
 def _run_tasks(tasks: list[dict], worker) -> list[dict]:
-    """worker(task) for every task, in a process pool, returned in task index order."""
+    """worker(task) for every task, in a process pool, returned in task order."""
     workers = _pool_size()
     if workers == 1 or len(tasks) <= 1:
-        results = [worker(t) for t in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, tasks, chunksize=1))
-    results.sort(key=lambda r: r["index"])
-    return results
+        return [worker(t) for t in tasks]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, tasks, chunksize=1))
 
 
 def _make_tasks(scenes, inits, runs, seed, rc, model_path) -> list[dict]:
@@ -307,13 +312,8 @@ def _svg_bars(path, title, labels, series: dict) -> None:
 def cmd_bench(args) -> int:
     rc = _load_config(args)
     # building each strategy checks its name and model before any episode flies
-    strategies = [_build_strategy(s.strip(), args.model) for s in args.inits.split(",") if s.strip()]
-    width = neural.plan_width(rc.m_pieces)
-    for strategy in strategies:
-        if strategy.model is not None and strategy.model.n_outputs != width:
-            raise ModelShapeMismatch(f"{args.model} emits {strategy.model.n_outputs} outputs; "
-                                     f"m_pieces={rc.m_pieces} needs {width}")
-    inits = [strategy.kind for strategy in strategies]
+    inits = [_build_strategy(s.strip(), args.model, rc).kind
+             for s in args.inits.split(",") if s.strip()]
     scenes = [_scene_token(t) for t in args.scenes]
     os.makedirs(args.out_dir, exist_ok=True)
     tasks = _make_tasks(scenes, inits, args.runs, args.seed, rc, args.model)
@@ -398,19 +398,11 @@ def _near_field_kink(q, tau, ob, world) -> bool:
     """
     tbar = tau_to_time(tau, ob.transform)
     traj = solve_coeffs(ob.init, ob.target, TrajParams(q, tbar), ob.s_order)
-    kappa = ob.penalty.kappa
-    frac = np.arange(kappa + 1) / kappa
-    for i in range(traj.n_pieces):
-        pos = traj.eval_piece(i, frac * tbar[i])
-        dist, _ = world.query_distance(pos)
-        active = dist < ob.penalty.d_safe + 0.05
-        if not active.any():
-            continue
-        g = (pos[active] - world.origin) / world.resolution - 0.5
-        fx = np.abs(g - np.round(g))
-        if np.any(fx < 0.02):
-            return True
-    return False
+    # the very sample points the obstacle term reads
+    pos = sample_trajectory(traj, ob.penalty.kappa).values[0].reshape(-1, q.shape[0])
+    dist, _ = world.query_distance(pos)
+    g = (pos[dist < ob.penalty.d_safe + 0.05] - world.origin) / world.resolution - 0.5
+    return bool(np.any(np.abs(g - np.round(g)) < 0.02))
 
 
 def cmd_gradcheck(args) -> int:

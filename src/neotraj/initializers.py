@@ -83,11 +83,9 @@ def baseline_init(
     """Straight-line guess: evenly spaced waypoints, 1.5/1/.../1/1.5 time split."""
     delta = target.position - init.position
     dist = float(np.linalg.norm(delta))
-    d = init.position.size
     if dist < 1e-9:
         q = np.tile(init.position[:, None], (1, m - 1))
-        tbar = np.full(m, tf.t_min + DURATION_MARGIN)
-        return TrajParams(q.reshape(d, m - 1), tbar)
+        return TrajParams(q, np.full(m, tf.t_min + DURATION_MARGIN))
     fracs = np.arange(1, m) / m
     q = init.position[:, None] + delta[:, None] * fracs[None, :]
     return _timed(q, dist, tf, v_max, cruise_fraction)
@@ -152,18 +150,6 @@ def astar_path(world: GridWorld, start, goal, inflate: float) -> np.ndarray:
     raise NoPath(f"no path from {tuple(start)} to {tuple(goal)}")
 
 
-def _resample_polyline(path: np.ndarray, fracs: np.ndarray) -> np.ndarray:
-    """Points at given arclength fractions of a polyline, shape (len(fracs), 2)."""
-    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-    arc = np.concatenate(([0.0], np.cumsum(seg)))
-    total = arc[-1]
-    if total < 1e-12:
-        return np.tile(path[0], (fracs.size, 1))
-    return np.column_stack(
-        [np.interp(fracs * total, arc, path[:, k]) for k in range(path.shape[1])]
-    )
-
-
 def geo_init(
     world: GridWorld,
     init: BoundaryState,
@@ -184,12 +170,13 @@ def geo_init(
         return baseline_init(init, target, m, tf, v_max, cruise_fraction)
     # snap endpoints to the true states so the fractions span the real motion
     path = np.vstack([init.position, path, target.position])
-    fracs = np.arange(1, m) / m
-    q = _resample_polyline(path, fracs).T
     seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
     total_len = float(seg.sum())
     if total_len < 1e-9:
         return baseline_init(init, target, m, tf, v_max, cruise_fraction)
+    arc = np.concatenate(([0.0], np.cumsum(seg)))
+    at = np.arange(1, m) / m * arc[-1]
+    q = np.array([np.interp(at, arc, path[:, k]) for k in range(path.shape[1])])
     return _timed(q, total_len, tf, v_max, cruise_fraction)
 
 

@@ -243,22 +243,12 @@ def _template(m: int, s_order: int) -> _Template:
 
 
 def _band_storage(tp: _Template, entries: np.ndarray, transpose: bool):
-    """A's nonzero entries placed in the LAPACK band storage of A, or of A^T."""
+    """(ab, lower, upper): A's nonzero entries in the LAPACK band storage of A, or
+    of A^T; entry (r, c) sits at ab[lower + upper + r - c, c] (first `lower` rows: fill-in)."""
     lo, up = (tp.upper, tp.lower) if transpose else (tp.lower, tp.upper)
     ab = np.zeros((2 * lo + up + 1, tp.row_piece.size), order="F")
     ab.ravel(order="F")[tp.band_t if transpose else tp.band] = entries
     return ab, lo, up
-
-
-def band_matrix(durations: np.ndarray, s_order: int, transpose: bool = False):
-    """A(tbar), or A^T, in LAPACK band storage: (ab, lower, upper) of that matrix.
-
-    Entry (r, c) sits at ab[lower + upper + r - c, c]; the first `lower` rows
-    are left for the fill-in of the LU factorization.
-    """
-    durations = np.asarray(durations, dtype=float).ravel()
-    tp = _template(durations.size, s_order)
-    return _band_storage(tp, tp.coef * durations[tp.piece] ** tp.pw, transpose)
 
 
 # Banded LAPACK: linear in M, and single-threaded at these sizes.  The dense

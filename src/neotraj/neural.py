@@ -54,8 +54,9 @@ class NormConstants:
     tau_scale: float = 4.0
 
 
-# widths of the head's input (both branches' outputs) and hidden layers; the
-# output width follows from the number of pieces planned (plan_width)
+# the depth branch's hidden widths (its input: one depth per ray) and the head's
+# input and hidden widths (its input: both branches' outputs; output: plan_width)
+DEPTH_HIDDEN = (48, 24)
 HEAD_HIDDEN = (48, 96, 96)
 
 
@@ -153,7 +154,7 @@ class MlpModel:
     def __init__(
         self,
         norm: NormConstants,
-        depth_sizes=(64, 48, 24),
+        depth_sizes=(64, *DEPTH_HIDDEN),
         inertial_sizes=(12, 24, 24),
         head_sizes=(*HEAD_HIDDEN, 7),
         slope: float = 0.01,
@@ -337,8 +338,6 @@ def train(records: list[dict], model: MlpModel, learning_rate: float, epochs: in
     n_val = int(round(VAL_SPLIT * len(records)))
     n_val = min(n_val, len(records) - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    if train_idx.size == 0:
-        raise EmptyDataset("no records left for training after the split")
     batch = min(BATCH_SIZE, train_idx.size)
 
     params = model.param_list()

@@ -130,9 +130,8 @@ def _nearest_clear_cell(world: GridWorld, point, d_safe: float):
     centers_x = world.origin[0] + (xs + x0 + 0.5) * world.resolution
     centers_y = world.origin[1] + (ys + y0 + 0.5) * world.resolution
     d2 = (centers_x - point[0]) ** 2 + (centers_y - point[1]) ** 2
-    # stable nearest: distance first, then row-major order of the full grid
-    order = np.lexsort((xs + x0, ys + y0, d2))
-    k = order[0]
+    # nonzero lists the cells row-major and argmin keeps the first of tied distances
+    k = np.argmin(d2)
     return np.array([centers_x[k], centers_y[k]])
 
 

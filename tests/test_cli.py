@@ -336,6 +336,55 @@ def test_collect_train_bench_with_four_pieces(tmp_path, monkeypatch):
     assert episodes[0]["failure_reason"] != "model_shape_mismatch"
 
 
+FLY_NEO = ["fly", "--scene", "4", "--init", "neo"]
+BENCH_NEO = ["bench", "--scenes", "4", "--runs", 1, "--inits", "neo", "--out-dir", "b"]
+
+
+@pytest.mark.parametrize("command, config, why", [
+    (FLY_NEO, {"n_rays": 32}, "n_rays=32 needs 32 depths"),
+    (FLY_NEO, {"m_pieces": 4}, "m_pieces=4 needs 10"),
+    (BENCH_NEO, {"n_rays": 32}, "n_rays=32 needs 32 depths"),
+], ids=["fly-n_rays", "fly-m_pieces", "bench-n_rays"])
+def test_fly_and_bench_refuse_a_model_that_does_not_fit(tmp_path, monkeypatch, capsys, command,
+                                                        config, why):
+    # the committed model reads 64 depths and plans 3 pieces (7 outputs); bench
+    # with m_pieces 4 is test_bench_rejects_a_model_that_does_not_fit_m_pieces
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    flown = []
+    monkeypatch.setattr(cli, "run_episode", lambda *args, **kwargs: flown.append(1))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    model = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "neo_model.json"
+    assert run([*command, "--config", path, "--model", model]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("error:") == 1 and why in err
+    assert flown == [] and sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.slow
+def test_collect_train_bench_with_32_rays(tmp_path, monkeypatch):
+    # train sizes the depth branch from n_rays, so a 32-ray pipeline runs through
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    config = tmp_path / "r32.json"
+    config.write_text(json.dumps({"n_rays": 32}))
+    data, model = tmp_path / "r32.jsonl", tmp_path / "r32_model.json"
+    assert run(["collect", "--config", config, "--scenes", "4", "--episodes", 1, "--seed", 3,
+                "--out", data]) == 0
+    assert run(["train", "--config", config, "--data", data, "--epochs", 5, "--seed", 0,
+                "--out", model]) == 0
+    assert json.loads(model.read_text())["depth_sizes"][0] == 32
+    out = tmp_path / "b"
+    assert run(["bench", "--config", config, "--scenes", "4", "--runs", 1, "--inits", "neo",
+                "--model", model, "--seed", 1, "--out-dir", out]) == 0
+    episodes = [json.loads(line) for line in (out / "episodes.jsonl").read_text().splitlines()]
+    assert len(episodes) == 1 and episodes[0]["replan_count"] > 0
+    assert episodes[0]["failure_reason"] != "shape_mismatch"
+    with open(out / "aggregate.csv") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert all(np.isfinite(float(row[k])) for k in ("success_rate", "avg_cost", "avg_iterations"))
+
+
 @pytest.mark.parametrize("args", [
     ["gradcheck", "--trials", -3],
     ["scene", "--count", -2, "--out", "s.json"],

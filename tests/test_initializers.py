@@ -1,5 +1,8 @@
 """Initial-guess strategies: baseline, A*, geo, expert, neural decode."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from conftest import EXPERT_ARGS, PLAN_ARGS, RC
 from neotraj.errors import NoPath
 from neotraj.initializers import (
     InitStrategy,
+    _timed,
     astar_path,
     baseline_init,
     cheapest,
@@ -127,6 +131,69 @@ def test_geo_deterministic(scene4_world):
     b = geo_init(scene4_world, init, target, 3, TF, *CRUISE, INFLATE)
     assert np.array_equal(a.waypoints, b.waypoints)
     assert np.array_equal(a.durations, b.durations)
+
+
+PLAN_SET = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "plan_set.json"
+
+
+def _reference_resample(path, fracs):
+    """Points at given arclength fractions of a polyline, shape (len(fracs), 2)."""
+    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    arc = np.concatenate(([0.0], np.cumsum(seg)))
+    total = arc[-1]
+    if total < 1e-12:
+        return np.tile(path[0], (fracs.size, 1))
+    return np.column_stack(
+        [np.interp(fracs * total, arc, path[:, k]) for k in range(path.shape[1])]
+    )
+
+
+def _reference_geo_init(world, init, target, m, tf, v_max, cruise_fraction, inflate):
+    """geo_init as two passes over the A* path: resample it, then measure it again."""
+    try:
+        path = astar_path(world, init.position, target.position, inflate)
+    except NoPath:
+        return baseline_init(init, target, m, tf, v_max, cruise_fraction)
+    path = np.vstack([init.position, path, target.position])
+    fracs = np.arange(1, m) / m
+    q = _reference_resample(path, fracs).T
+    seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
+    total_len = float(seg.sum())
+    if total_len < 1e-9:
+        return baseline_init(init, target, m, tf, v_max, cruise_fraction)
+    return _timed(q, total_len, tf, v_max, cruise_fraction)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 3, 4])
+def test_geo_equals_two_pass_reference_bitwise_on_plan_set(m):
+    doc = json.loads(PLAN_SET.read_text())
+    worlds = [GridWorld(SceneSpec.from_dict(w), RC.resolution) for w in doc["worlds"]]
+    assert len(doc["problems"]) >= 100
+    for p in doc["problems"]:
+        world = worlds[p["world"]]
+        init = BoundaryState(p["init"]["p"], p["init"]["v"], p["init"]["a"])
+        target = BoundaryState(p["target"]["p"], p["target"]["v"])
+        args = (world, init, target, m, TF, *CRUISE, INFLATE)
+        got, ref = geo_init(*args), _reference_geo_init(*args)
+        assert _same_bytes(got.waypoints, ref.waypoints)
+        assert _same_bytes(got.durations, ref.durations)
+
+
+def test_geo_on_a_zero_length_path_equals_reference_bitwise(empty_world):
+    # start and goal on the same cell center: the snapped path has length exactly 0
+    p = empty_world.cell_center(*empty_world.cell_index([4.0, 0.0]))
+    state = BoundaryState(p, [0.0, 0.0])
+    args = (empty_world, state, state, 3, TF, *CRUISE, INFLATE)
+    path = np.vstack([p, astar_path(empty_world, p, p, INFLATE), p])
+    assert np.linalg.norm(np.diff(path, axis=0), axis=1).sum() == 0.0
+    got, ref = geo_init(*args), _reference_geo_init(*args)
+    assert _same_bytes(got.waypoints, ref.waypoints)
+    assert _same_bytes(got.durations, ref.durations)
+    assert _same_bytes(got.waypoints, baseline_init(state, state, 3, TF, *CRUISE).waypoints)
 
 
 def test_deformed_guesses_shape():

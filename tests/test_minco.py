@@ -20,7 +20,8 @@ from neotraj.minco import (
     BoundaryState,
     TrajParams,
     Trajectory,
-    band_matrix,
+    _band_storage,
+    _template,
     basis,
     propagate_gradients,
     solve_coeffs,
@@ -329,7 +330,9 @@ def test_template_matches_reference_assembly(rng, m):
         init, target, params = random_instance(rng, m=m)
         tb = params.durations
         a_ref, deps = reference_system(tb)
-        ab, lower, upper = band_matrix(tb, RC.s_order)
+        tp = _template(m, RC.s_order)
+        entries = tp.coef * tb[tp.piece] ** tp.pw
+        ab, lower, upper = _band_storage(tp, entries, False)
         assert np.array_equal(ab[lower:], to_band(a_ref, lower, upper))
 
         c_ref = scipy.linalg.solve_banded(
@@ -339,7 +342,7 @@ def test_template_matches_reference_assembly(rng, m):
 
         dk_dc = rng.normal(size=(m, 6, 2))
         dk_dt = rng.normal(size=m)
-        abt, lower_t, upper_t = band_matrix(tb, RC.s_order, transpose=True)
+        abt, lower_t, upper_t = _band_storage(tp, entries, True)
         assert (lower_t, upper_t) == (upper, lower)
         assert np.array_equal(abt[upper:], to_band(a_ref.T, upper, lower))
         g = scipy.linalg.solve_banded(

@@ -115,6 +115,23 @@ def test_select_local_goal_no_free_cell():
         select_local_goal(world, [0.0, -0.6], [30.0, -0.6], RunConfig())
 
 
+def test_nearest_clear_cell_breaks_distance_ties_row_major():
+    # binary-exact cell centers around a candidate on a cell corner at the
+    # obstacle's center: 12 clear cells lie at exactly the same distance, and
+    # the first of them in row-major order (lowest row, then lowest column)
+    # wins; column-major order would pick (-0.875, -0.125) instead
+    spec = SceneSpec(bounds=(-8.0, -8.0, 8.0, 8.0), obstacles=[(0.0, 0.0, 1.0)],
+                     start=(-6.0, 0.0), goal=(6.0, 0.0))
+    world = GridWorld(spec, 0.25)
+    point, d_safe = np.array([0.0, 0.0]), 0.3
+    ys, xs = np.nonzero(world.field >= d_safe)
+    d2 = (world.origin[0] + (xs + 0.5) * 0.25 - point[0]) ** 2 + (
+        world.origin[1] + (ys + 0.5) * 0.25 - point[1]) ** 2
+    assert np.count_nonzero(d2 == d2.min()) == 12
+    cell = replan._nearest_clear_cell(world, point, d_safe)
+    assert cell.tolist() == [-0.125, -0.875]
+
+
 def test_episode_empty_map_success(empty_world, default_setup):
     rep = run_episode(empty_world, InitStrategy("baseline"), default_setup, seed=1)
     assert rep.success
