@@ -140,7 +140,7 @@ def _load_model(path) -> neural.MlpModel:
 
 def _build_strategy(init: str, model_path, rc: RunConfig) -> InitStrategy:
     """The strategy behind a CLI init name (`neo` is the neural initializer);
-    a neo model must read rc.n_rays depths and plan rc.m_pieces pieces."""
+    a neo model must read rc.n_rays depths of rc.max_range and plan rc.m_pieces pieces."""
     if init not in ("neo", "neural"):
         return InitStrategy(init)
     if not model_path:
@@ -151,6 +151,9 @@ def _build_strategy(init: str, model_path, rc: RunConfig) -> InitStrategy:
         raise ModelShapeMismatch(
             f"{model_path} reads {depths} depths and emits {model.n_outputs} outputs; "
             f"n_rays={rc.n_rays} needs {rc.n_rays} depths, m_pieces={rc.m_pieces} needs {width}")
+    if model.norm.max_range != rc.max_range:
+        raise ModelShapeMismatch(
+            f"{model_path} was trained with max_range={model.norm.max_range}, not {rc.max_range}")
     return InitStrategy("neural", model)
 
 
@@ -250,8 +253,6 @@ def _aggregate(results: list[dict], scenes, inits) -> list[list]:
         label = _scene_label(token)
         for init in inits:
             group = [r for r in results if r["scene"] == label and r["strategy"] == init]
-            if not group:
-                continue
             succ = [r for r in group if r["success"]]
             iters = [it for r in group for it in r["iterations"]]
             lat = [v for r in group for v in r["plan_latencies"]]
@@ -273,7 +274,7 @@ def _svg_bars(path, title, labels, series: dict) -> None:
     width, height, pad = 640, 360, 48
     groups = len(labels)
     names = list(series)
-    vals = [v for vs in series.values() for v in vs if np.isfinite(v)]
+    vals = [v for vs in series.values() for v in vs]
     vmax = max(vals + [1e-9])
     bw = (width - 2 * pad) / max(groups * (len(names) + 1), 1)
     colors = ["#4878cf", "#6acc65", "#d65f5f", "#b47cc7"]
@@ -289,10 +290,7 @@ def _svg_bars(path, title, labels, series: dict) -> None:
             f'text-anchor="middle" font-size="11">{label}</text>'
         )
         for ni, name in enumerate(names):
-            v = series[name][gi]
-            if not np.isfinite(v):
-                continue
-            h = (height - 2 * pad) * v / vmax
+            h = (height - 2 * pad) * series[name][gi] / vmax
             x = gx + ni * bw
             y = height - pad - h
             parts.append(
@@ -327,8 +325,7 @@ def cmd_bench(args) -> int:
         labels = [_scene_label(t) for t in scenes]
         for col, name in ((2, "success_rate"), (5, "avg_iterations")):
             series = {
-                k: [next((r[col] for r in rows if r[0] == lab and r[1] == k), float("nan"))
-                    for lab in labels]
+                k: [next(r[col] for r in rows if r[0] == lab and r[1] == k) for lab in labels]
                 for k in inits
             }
             _svg_bars(os.path.join(args.out_dir, f"bench_{name}.svg"), name, labels, series)
@@ -347,11 +344,15 @@ def cmd_latency(args) -> int:
     all_rows = []
     for token in scenes:
         label = _scene_label(token)
+        # every run of a fixed scene flies one episode (the seed only labels its report), so
+        # it flies once and counts --runs times, unless measured wall times make runs differ
+        drawn = isinstance(token, int) and token in RANDOM_PRESETS
+        flown = args.runs if drawn or rc.replan.use_wall_time else 1
         per_foresee = {}
         for tf_value in foresee_values:
             rc_v = replace(rc, replan=replace(rc.replan, latency=args.latency, foresee=tf_value))
-            tasks = _make_tasks([token], [args.init], args.runs, args.seed, rc_v, None)
-            results = _run_tasks(tasks, _bench_episode)
+            tasks = _make_tasks([token], [args.init], flown, args.seed, rc_v, None)
+            results = _run_tasks(tasks, _bench_episode) * (args.runs // flown)
             per_foresee[tf_value] = (
                 float(np.mean([r["rmse_position"] for r in results])),
                 float(np.mean([r["rmse_velocity"] for r in results])),

@@ -42,7 +42,7 @@ class NoFreeCell(NeotrajError):
 
 
 class ModelShapeMismatch(NeotrajError):
-    """Loaded model's layer sizes do not match the expected geometry."""
+    """Loaded model's layer sizes or depth range do not match the run's geometry."""
 
 
 class EmptyDataset(NeotrajError):

@@ -95,6 +95,7 @@ _MOVES = [
     (1, 0), (-1, 0), (0, 1), (0, -1),
     (1, 1), (1, -1), (-1, 1), (-1, -1),
 ]
+_SQRT2 = np.sqrt(2.0)  # the diagonal move's length in cells
 
 
 def astar_path(world: GridWorld, start, goal, inflate: float) -> np.ndarray:
@@ -138,7 +139,7 @@ def astar_path(world: GridWorld, start, goal, inflate: float) -> np.ndarray:
                 continue
             if blocked[nxt[1], nxt[0]] or nxt in closed:
                 continue
-            step = res * (np.sqrt(2.0) if mv[0] and mv[1] else 1.0)
+            step = res * (_SQRT2 if mv[0] and mv[1] else 1.0)
             cand = g_score[cur] + step
             if cand < g_score.get(nxt, np.inf) - 1e-12:
                 g_score[nxt] = cand

@@ -227,6 +227,40 @@ def test_latency_table_shape(tmp_path):
         assert float(cells[3]) < float(cells[2])  # foreseeing horizon helps
 
 
+LATENCY = ["latency", "--runs", 3, "--latency", 0.8, "--foresee", "0,1.0", "--seed", 8]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("overrides, episodes", [
+    ({}, 2 + 6),  # poles once per foresee value, preset 4 every run
+    ({"use_wall_time": True}, 12),
+], ids=["default", "use_wall_time"])
+def test_latency_flies_a_fixed_scene_once_per_foresee_value(tmp_path, monkeypatch, overrides,
+                                                            episodes):
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    flown = []
+    fly = cli.run_episode
+    monkeypatch.setattr(cli, "run_episode", lambda *a, **kw: flown.append(1) or fly(*a, **kw))
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"timeout": 2.0, **overrides}))
+    assert run([*LATENCY, "--scenes", "1", "4", "--config", config,
+                "--out", tmp_path / "latency.csv"]) == 0
+    assert len(flown) == episodes
+
+
+@pytest.mark.slow
+def test_latency_on_a_fixed_scene_equals_flying_every_run(tmp_path, monkeypatch):
+    # the run seeds differ, yet every run of the poles scene flies one episode
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"timeout": 2.0}))
+    once, every = tmp_path / "once.csv", tmp_path / "every.csv"
+    assert run([*LATENCY, "--scenes", "1", "--config", config, "--out", once]) == 0
+    monkeypatch.setattr(cli, "RANDOM_PRESETS", {**cli.RANDOM_PRESETS, 1: None})
+    assert run([*LATENCY, "--scenes", "1", "--config", config, "--out", every]) == 0
+    assert once.read_bytes() == every.read_bytes()
+
+
 @pytest.mark.slow
 def test_collect_and_train_cycle(tmp_path):
     data = tmp_path / "mini.jsonl"
@@ -344,10 +378,12 @@ BENCH_NEO = ["bench", "--scenes", "4", "--runs", 1, "--inits", "neo", "--out-dir
     (FLY_NEO, {"n_rays": 32}, "n_rays=32 needs 32 depths"),
     (FLY_NEO, {"m_pieces": 4}, "m_pieces=4 needs 10"),
     (BENCH_NEO, {"n_rays": 32}, "n_rays=32 needs 32 depths"),
-], ids=["fly-n_rays", "fly-m_pieces", "bench-n_rays"])
+    (FLY_NEO, {"max_range": 4.0}, "trained with max_range=5.0, not 4.0"),
+    (BENCH_NEO, {"max_range": 4.0}, "trained with max_range=5.0, not 4.0"),
+], ids=["fly-n_rays", "fly-m_pieces", "bench-n_rays", "fly-max_range", "bench-max_range"])
 def test_fly_and_bench_refuse_a_model_that_does_not_fit(tmp_path, monkeypatch, capsys, command,
                                                         config, why):
-    # the committed model reads 64 depths and plans 3 pieces (7 outputs); bench
+    # the committed model reads 64 depths of 5 m and plans 3 pieces (7 outputs); bench
     # with m_pieces 4 is test_bench_rejects_a_model_that_does_not_fit_m_pieces
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("NEOTRAJ_WORKERS", "1")

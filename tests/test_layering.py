@@ -3,16 +3,43 @@
 An import inside a function body is how a cycle between two modules hides:
 the import graph stays acyclic only while every import sits at the top.
 
+Each module imports on its own: the package itself imports nothing, so a
+module that forgets an import fails at once instead of borrowing one.
+
 Only `initializers.py` maps a strategy kind to what it does: every other
 module asks the strategy for its guesses instead of testing its kind.
 """
 
 import ast
+import os
+import pkgutil
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import neotraj
 
 PACKAGE = Path(neotraj.__file__).parent
+MODULES = sorted(m.name for m in pkgutil.iter_modules([str(PACKAGE)]) if m.name != "__main__")
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """The neotraj modules a fresh interpreter holds after running `statement`."""
+    code = f"{statement}; import sys; print(*sorted(m for m in sys.modules if 'neotraj' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
+    return proc.stdout.split()
+
+
+def test_package_import_loads_no_module():
+    assert _loaded_after("import neotraj") == ["neotraj"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_on_its_own(module):
+    assert f"neotraj.{module}" in _loaded_after(f"import neotraj.{module}")
 
 
 def test_no_import_inside_a_function():

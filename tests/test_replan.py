@@ -185,6 +185,15 @@ def test_episode_horizon_longer_than_interval_keeps_command_continuous(overrides
     assert rep.max_command_jump < 0.05
 
 
+def test_episode_counts_a_plan_later_than_the_horizon_as_late():
+    # every plan takes 0.8 s but is foreseen only 0.5 s ahead
+    spec = SceneSpec(bounds=(-2.0, -4.0, 12.0, 4.0), start=(0.0, 0.0), goal=(10.0, 0.0))
+    rc = RunConfig.from_dict({"latency": 0.8, "foresee": 0.5})
+    rep = run_episode(GridWorld(spec, rc.resolution), InitStrategy("baseline"), rc, seed=0)
+    assert rep.replan_count > 0
+    assert rep.late_plans == rep.replan_count
+
+
 def test_episode_zero_foresight_jumps(default_setup):
     world = GridWorld(generate_scene(preset=6, seed=9), RC.resolution)
     rc = RunConfig.from_dict({"latency": 0.8, "foresee": 0.0})

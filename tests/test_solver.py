@@ -7,7 +7,7 @@ from conftest import PLAN_ARGS, RC, SETUP_ARGS
 from neotraj.errors import NonFiniteObjective
 from neotraj.minco import BoundaryState, TrajParams
 from neotraj.objective import ObjectiveSetup, total_objective, time_to_tau
-from neotraj.solver import PlanResult, SolverConfig, minimize, plan
+from neotraj.solver import PlanResult, SolverConfig, _cubic_min, _wolfe_search, minimize, plan
 from neotraj.world import GridWorld, SceneSpec
 
 
@@ -77,6 +77,64 @@ def test_accepted_steps_strictly_decrease():
         _, val, _, _, _ = minimize(tracker, np.array([10.0, 10.0]), SolverConfig(max_iterations=cap))
         assert val <= prev + 1e-15
         prev = val
+
+
+def test_cubic_min_returns_none_when_degenerate():
+    assert _cubic_min(0.0, 0.25, -1.0, 1.0, 0.25, 1.0) == 0.5
+    assert _cubic_min(0.0, 0.0, 2.0, 1.0, 1.0, 2.0) is None  # d1 = 1, discriminant 1 - 4 < 0
+    assert _cubic_min(0.0, 0.0, 3.0, 1.0, 1.0, 3.0) is None  # d1 = 3, d2 = 0: denominator 0
+
+
+def _traced(f, trials):
+    def func(x):
+        trials.append(float(x[0]))
+        return f(x)
+
+    return func
+
+
+def test_wolfe_search_refuses_a_direction_that_does_not_descend():
+    trials = []
+    g0 = np.array([-2.0])
+    func = _traced(quadratic(np.array([1.0])), trials)
+    assert _wolfe_search(func, np.zeros(1), 1.0, g0, np.zeros(1), RC.solver, 1.0) is None
+    assert _wolfe_search(func, np.zeros(1), 1.0, g0, g0, RC.solver, 1.0) is None
+    assert trials == []
+
+
+def test_wolfe_search_halves_a_step_whose_value_is_not_finite():
+    def f(x):
+        if x[0] > 1.0:
+            return np.inf, np.array([np.nan])
+        return quadratic(np.array([0.5]))(x)
+
+    trials = []
+    x0 = np.zeros(1)
+    f0, g0 = f(x0)
+    alpha, fa, ga = _wolfe_search(_traced(f, trials), x0, f0, g0, -g0, RC.solver, 4.0)
+    # 4 and 2 land past x = 1, 1 is finite but too high, and zoom's cubic finds 0.5
+    assert trials == [4.0, 2.0, 1.0, 0.5]
+    assert (alpha, fa, ga.tolist()) == (0.5, 0.0, [0.0])
+
+
+def test_wolfe_search_gives_up_when_its_steps_run_out():
+    # a linear descent never brackets a minimum, so every trial doubles the step
+    trials = []
+    func = _traced(lambda x: (float(-x[0]), np.array([-1.0])), trials)
+    cfg = SolverConfig(max_ls_steps=5)
+    assert _wolfe_search(func, np.zeros(1), 0.0, np.array([-1.0]), np.ones(1), cfg, 1.0) is None
+    assert trials == [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+def test_minimize_falls_back_to_steepest_descent_on_a_vanished_gradient():
+    # A g_tol below 0 keeps an exactly zero gradient from converging.  The
+    # L-BFGS direction is then zero, which does not descend, so minimize falls
+    # back to steepest descent.  That direction is zero as well, so the line
+    # search refuses it and the run ends unconverged at the minimum.
+    x, val, iters, evals, conv = minimize(
+        quadratic(np.array([1.0])), np.zeros(1), SolverConfig(g_tol=-1.0)
+    )
+    assert (x.tolist(), val, iters, evals, conv) == ([1.0], 0.0, 1, 2, False)
 
 
 def _plan_setup(world=None):

@@ -6,6 +6,8 @@ Prints one line per item, `<label> <sha256>`:
   neo on each frozen problem, the expert on every third: 360 decisions),
   hashed in problem order over the waypoints, durations, coefficients, cost,
   iterations, line-search evaluations and the converged flag;
+- `decisions.<init>`: the same hash over one initializer's decisions only, so
+  a mismatch names the initializer that moved;
 - `<command>/<file>`: each file that a fixed list of CLI commands writes
   into a temporary directory, and the stdout of the commands whose stdout
   holds no wall time.
@@ -51,7 +53,8 @@ COMMANDS = [
     ("fly-geo", "1", [FLY + ["--init", "geo"]], False),
     ("fly-neo", "1", [FLY + ["--init", "neo", "--model", MODEL]], False),
     ("fly-expert", "1", [FLY + ["--init", "expert"]], False),
-    ("latency", "2", [["latency", "--scenes", "1", "--runs", "1", "--latency", "0.8",
+    # preset 1 is a fixed scene and preset 4 a drawn one, so both latency paths are hashed
+    ("latency", "2", [["latency", "--scenes", "1", "4", "--runs", "2", "--latency", "0.8",
                        "--foresee", "0,1.0", "--seed", "8", "--out", "latency.csv"]], True),
     ("gradcheck-0", "1", [["gradcheck", "--trials", "100", "--seed", "0"]], True),
     ("gradcheck-2026", "1", [["gradcheck", "--trials", "100", "--seed", "2026"]], True),
@@ -62,22 +65,25 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def decisions_digest() -> tuple[int, str]:
-    """(count, SHA-256) of one plan-set pass in problem order."""
+def decisions_digests() -> list[tuple[str, str]]:
+    """(label, SHA-256) of one plan-set pass in problem order: all decisions, then each init's."""
     ws = workloads.PlanSet()
     ws.setup()
-    h = hashlib.sha256()
-    count = 0
+    labels = ["decisions"] + [f"decisions.{init}" for init in workloads.INITS]
+    hashes = {label: hashlib.sha256() for label in labels}
+    counts = dict.fromkeys(labels, 0)
     for pi, prob in enumerate(ws.problems):
         inits = workloads.INITS if pi % workloads.EXPERT_EVERY == 0 else workloads.INITS[:-1]
         for init in inits:
             r = ws.decide(init, prob)
-            for a in (r.waypoints, r.durations, r.trajectory.coefficients):
-                h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-            h.update(np.array([r.cost], dtype=np.float64).tobytes())
-            h.update(f"{init} {r.iterations} {r.ls_evals} {r.converged}\n".encode())
-            count += 1
-    return count, h.hexdigest()
+            parts = [np.ascontiguousarray(a, dtype=np.float64).tobytes()
+                     for a in (r.waypoints, r.durations, r.trajectory.coefficients)]
+            parts.append(np.array([r.cost], dtype=np.float64).tobytes())
+            parts.append(f"{init} {r.iterations} {r.ls_evals} {r.converged}\n".encode())
+            for label in ("decisions", f"decisions.{init}"):
+                hashes[label].update(b"".join(parts))
+                counts[label] += 1
+    return [(f"{label}[{counts[label]}]", hashes[label].hexdigest()) for label in labels]
 
 
 def command_digests(tmp: Path) -> list[tuple[str, str]]:
@@ -103,8 +109,8 @@ def command_digests(tmp: Path) -> list[tuple[str, str]]:
 
 
 def main() -> int:
-    count, digest = decisions_digest()
-    print(f"decisions[{count}] {digest}", flush=True)
+    for label, digest in decisions_digests():
+        print(f"{label} {digest}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in command_digests(Path(tmp)):
             print(f"{label} {digest}", flush=True)
