@@ -186,7 +186,7 @@ def _bench_episode(task: dict) -> dict:
     """Worker entry: runs one episode described by a picklable task dict."""
     report = _fly(task["scene"], task["init"], task["model_path"], task["config"], task["seed"])
     out = report.to_json_dict()
-    out["scene"] = task["scene_label"]
+    out["scene"] = _scene_label(task["scene"])
     out["run"] = task["run"]
     out["index"] = task["index"]
     return out
@@ -224,27 +224,26 @@ def _run_tasks(tasks: list[dict], worker) -> list[dict]:
         return list(pool.map(worker, tasks, chunksize=1))
 
 
-def _make_tasks(scenes, inits, runs, seed, rc, model_path) -> list[dict]:
-    tasks = []
-    index = 0
+def _fly_grid(scenes, arms, runs, seed, model_path) -> list[dict]:
+    """_bench_episode's row for every (scene, arm, run) in order; an arm is an (init, RunConfig)
+    pair.  Arms see paired worlds: a world depends only on (scene, run).  A fixed scene (preset
+    1-3 or a file) ignores the seed, so only run 0 of each arm flies and later runs copy its row
+    under their own index, run and seed, unless measured wall times make runs differ."""
+    tasks, flies = [], []
     for si, token in enumerate(scenes):
-        for init in inits:
+        drawn = isinstance(token, int) and token in RANDOM_PRESETS
+        for init, rc in arms:
             for run in range(runs):
-                tasks.append(
-                    {
-                        "index": index,
-                        "scene_label": _scene_label(token),
-                        "scene": token,
-                        # the world depends only on (scene, run) so inits see paired worlds
-                        "seed": derive_seed(seed, si * 1000003 + run),
-                        "init": init,
-                        "model_path": model_path,
-                        "run": run,
-                        "config": rc,
-                    }
-                )
-                index += 1
-    return tasks
+                flies.append(drawn or rc.replan.use_wall_time or run == 0)
+                tasks.append({"index": len(tasks), "scene": token, "init": init, "run": run,
+                              "seed": derive_seed(seed, si * 1000003 + run),
+                              "model_path": model_path, "config": rc})
+    flown = iter(_run_tasks([t for t, f in zip(tasks, flies) if f], _bench_episode))
+    rows = []
+    for task, fly in zip(tasks, flies):
+        rows.append(next(flown) if fly else
+                    {**rows[-1], "index": task["index"], "run": task["run"], "seed": task["seed"]})
+    return rows
 
 
 def _aggregate(results: list[dict], scenes, inits) -> list[list]:
@@ -312,10 +311,11 @@ def cmd_bench(args) -> int:
     # building each strategy checks its name and model before any episode flies
     inits = [_build_strategy(s.strip(), args.model, rc).kind
              for s in args.inits.split(",") if s.strip()]
+    if not inits:
+        raise ValueError(f"--inits {args.inits!r} names no initializer")
     scenes = [_scene_token(t) for t in args.scenes]
     os.makedirs(args.out_dir, exist_ok=True)
-    tasks = _make_tasks(scenes, inits, args.runs, args.seed, rc, args.model)
-    results = _run_tasks(tasks, _bench_episode)
+    results = _fly_grid(scenes, [(init, rc) for init in inits], args.runs, args.seed, args.model)
     with open(os.path.join(args.out_dir, "episodes.jsonl"), "w") as fh:
         for r in results:
             fh.write(json.dumps(r, sort_keys=True) + "\n")
@@ -340,25 +340,17 @@ def cmd_bench(args) -> int:
 def cmd_latency(args) -> int:
     rc = _load_config(args)
     foresee_values = [float(s) for s in args.foresee.split(",")]
+    arms = [(args.init, replace(rc, replan=replace(rc.replan, latency=args.latency, foresee=v)))
+            for v in foresee_values]
     scenes = [_scene_token(t) for t in args.scenes]
     all_rows = []
     for token in scenes:
-        label = _scene_label(token)
-        # every run of a fixed scene flies one episode (the seed only labels its report), so
-        # it flies once and counts --runs times, unless measured wall times make runs differ
-        drawn = isinstance(token, int) and token in RANDOM_PRESETS
-        flown = args.runs if drawn or rc.replan.use_wall_time else 1
-        per_foresee = {}
-        for tf_value in foresee_values:
-            rc_v = replace(rc, replan=replace(rc.replan, latency=args.latency, foresee=tf_value))
-            tasks = _make_tasks([token], [args.init], flown, args.seed, rc_v, None)
-            results = _run_tasks(tasks, _bench_episode) * (args.runs // flown)
-            per_foresee[tf_value] = (
-                float(np.mean([r["rmse_position"] for r in results])),
-                float(np.mean([r["rmse_velocity"] for r in results])),
-            )
-        all_rows.append([label, "position_rmse"] + [per_foresee[v][0] for v in foresee_values])
-        all_rows.append([label, "velocity_rmse"] + [per_foresee[v][1] for v in foresee_values])
+        # one grid per scene, so every scene's runs keep the seeds derive_seed(seed, run)
+        results = _fly_grid([token], arms, args.runs, args.seed, None)
+        per_arm = [results[i:i + args.runs] for i in range(0, len(results), args.runs)]
+        for metric in ("position", "velocity"):
+            all_rows.append([_scene_label(token), f"{metric}_rmse"] + [
+                float(np.mean([r[f"rmse_{metric}"] for r in rows])) for rows in per_arm])
     header = ["scene", "metric"] + [f"foresee_{v:g}" for v in foresee_values]
     _write_csv(args.out, header, all_rows)
     for row in all_rows:

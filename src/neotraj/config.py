@@ -42,10 +42,10 @@ class ReplanConfig:
     tick_rate: float = 60.0
 
     def __post_init__(self):
-        if self.replan_interval <= 0 or self.foresee < 0:
-            raise ValueError("need replan_interval > 0 and foresee >= 0")
-        if self.tick_rate <= 0:
-            raise ValueError("tick_rate must be > 0")
+        if self.replan_interval <= 0 or self.foresee < 0 or self.latency < 0:
+            raise ValueError("need replan_interval > 0, foresee >= 0 and latency >= 0")
+        if self.tick_rate <= 0 or self.timeout <= 0 or self.lookahead <= 0:
+            raise ValueError("need tick_rate > 0, timeout > 0 and lookahead > 0")
 
 
 @dataclass
@@ -74,6 +74,8 @@ class RunConfig:
         if not 1 <= self.s_order <= 3:
             # boundary states carry position, velocity and acceleration only
             raise ValueError("s_order must be 1, 2 or 3")
+        if self.cruise_fraction <= 0 or self.max_range <= 0:
+            raise ValueError("need cruise_fraction > 0 and max_range > 0")
 
     @classmethod
     def from_run_config(cls, rc: "RunConfig") -> "RunConfig":

@@ -12,6 +12,7 @@ import pytest
 
 from neotraj import cli
 from neotraj.cli import main
+from neotraj.replan import derive_seed
 from neotraj.world import SceneSpec
 
 
@@ -110,6 +111,11 @@ def test_unknown_config_key_rejected(tmp_path):
     {"s_order": 0},
     {"dims": 3},
     [1, 2],
+    {"cruise_fraction": 0},  # the initializers divide by it
+    {"latency": -0.5},
+    {"timeout": -1.0},  # would plan nothing and report a timeout
+    {"lookahead": 0.0},  # the local goal would sit on the drone
+    {"max_range": 0.0},  # the depth scaling would divide 0 by 0
 ])
 def test_bad_config_value_rejected(tmp_path, capsys, doc):
     cfg = tmp_path / "cfg.json"
@@ -228,32 +234,70 @@ def test_latency_table_shape(tmp_path):
 
 
 LATENCY = ["latency", "--runs", 3, "--latency", 0.8, "--foresee", "0,1.0", "--seed", 8]
+LATENCY_1_4 = [*LATENCY, "--scenes", "1", "4", "--out", "latency.csv"]
+BENCH_1_4 = ["bench", "--scenes", "1", "4", "--runs", 3, "--inits", "baseline,geo", "--seed", 8,
+             "--out-dir", "b"]
 
 
+def short_config(tmp_path, **overrides):
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"timeout": 2.0, **overrides}))
+    return config
+
+
+# the poles scene flies once per foresee value (latency) or init (bench) and preset 4 every
+# run, unless measured wall times make the runs differ
 @pytest.mark.slow
-@pytest.mark.parametrize("overrides, episodes", [
-    ({}, 2 + 6),  # poles once per foresee value, preset 4 every run
-    ({"use_wall_time": True}, 12),
-], ids=["default", "use_wall_time"])
-def test_latency_flies_a_fixed_scene_once_per_foresee_value(tmp_path, monkeypatch, overrides,
-                                                            episodes):
+@pytest.mark.parametrize("command, overrides, episodes", [
+    (LATENCY_1_4, {}, 2 + 6),
+    (LATENCY_1_4, {"use_wall_time": True}, 12),
+    (BENCH_1_4, {}, 2 + 6),
+    (BENCH_1_4, {"use_wall_time": True}, 12),
+], ids=["default", "use_wall_time", "bench-default", "bench-use_wall_time"])
+def test_latency_flies_a_fixed_scene_once_per_foresee_value(tmp_path, monkeypatch, command,
+                                                            overrides, episodes):
     monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    monkeypatch.chdir(tmp_path)
     flown = []
     fly = cli.run_episode
     monkeypatch.setattr(cli, "run_episode", lambda *a, **kw: flown.append(1) or fly(*a, **kw))
-    config = tmp_path / "short.json"
-    config.write_text(json.dumps({"timeout": 2.0, **overrides}))
-    assert run([*LATENCY, "--scenes", "1", "4", "--config", config,
-                "--out", tmp_path / "latency.csv"]) == 0
+    assert run([*command, "--config", short_config(tmp_path, **overrides)]) == 0
     assert len(flown) == episodes
+
+
+@pytest.mark.slow
+def test_bench_copies_a_fixed_scene_row_per_run(tmp_path, monkeypatch):
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    monkeypatch.chdir(tmp_path)
+    assert run([*BENCH_1_4, "--config", short_config(tmp_path)]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "b/episodes.jsonl").read_text().splitlines()]
+    assert [r["index"] for r in rows] == list(range(12))
+    assert [r["run"] for r in rows] == [0, 1, 2] * 4
+    # the world seed depends only on (scene position, run), so both inits fly paired worlds
+    assert [r["seed"] for r in rows] == [derive_seed(8, si * 1000003 + run)
+                                         for si in (0, 1) for _init in ("baseline", "geo")
+                                         for run in range(3)]
+    keys = ("index", "run", "seed")
+    for first in (0, 3):  # scene 1's runs of baseline, then of geo, are one episode
+        same = [{k: v for k, v in r.items() if k not in keys} for r in rows[first:first + 3]]
+        assert same[0]["scene"] == "scene1" and same[1:] == same[:1] * 2
+
+
+@pytest.mark.slow
+def test_latency_row_of_a_scene_does_not_depend_on_the_scenes_before_it(tmp_path, monkeypatch):
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    config = short_config(tmp_path)
+    both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+    assert run([*LATENCY, "--scenes", "1", "4", "--config", config, "--out", both]) == 0
+    assert run([*LATENCY, "--scenes", "4", "--config", config, "--out", alone]) == 0
+    assert both.read_text().splitlines()[3:] == alone.read_text().splitlines()[1:]
 
 
 @pytest.mark.slow
 def test_latency_on_a_fixed_scene_equals_flying_every_run(tmp_path, monkeypatch):
     # the run seeds differ, yet every run of the poles scene flies one episode
     monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
-    config = tmp_path / "short.json"
-    config.write_text(json.dumps({"timeout": 2.0}))
+    config = short_config(tmp_path)
     once, every = tmp_path / "once.csv", tmp_path / "every.csv"
     assert run([*LATENCY, "--scenes", "1", "--config", config, "--out", once]) == 0
     monkeypatch.setattr(cli, "RANDOM_PRESETS", {**cli.RANDOM_PRESETS, 1: None})
@@ -305,6 +349,8 @@ def one_error_line(capsys) -> bool:
     (["scene", "--count", 2, "--width-min", -1.0, "--width-max", -0.5, "--out", "s.json"], 1),
     (["scene", "--count", 2, "--width-min", 1.0, "--width-max", 0.2, "--out", "s.json"], 1),
     (["scene", "--count", 2, "--width-min", 0.5, "--width-max", 50, "--out", "s.json"], 1),
+    (["latency", "--scenes", "1", "--latency", -0.5, "--out", "lat.csv"], 1),
+    (["bench", "--scenes", "4", "--inits", ",", "--out-dir", "b"], 1),  # no initializer
 ])
 def test_errors_reach_main_as_one_line(tmp_path, monkeypatch, capsys, args, code):
     monkeypatch.chdir(tmp_path)

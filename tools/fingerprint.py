@@ -18,7 +18,7 @@ from each checkout (copy this file into the older one) and diff the output:
     python tools/fingerprint.py > fingerprint.txt
 
 perfbench is imported read-only: its set-up pins one BLAS thread for this
-process and every command it starts.  Takes about 3 minutes on 2 cores.
+process and every command it starts.  Takes 2-2.5 minutes on 2 cores.
 """
 
 from __future__ import annotations
@@ -46,6 +46,9 @@ FLY = ["fly", "--scene", "6", "--seed", "3", "--report", "report.json", "--log",
 COMMANDS = [
     ("bench-w1", "1", [BENCH], True),
     ("bench-w2", "2", [BENCH], True),
+    # preset 1 is a fixed scene, whose later runs copy run 0's row, and preset 5 a drawn one
+    ("bench-fixed", "2", [["bench", "--scenes", "1", "5", "--runs", "2", "--inits", "baseline,geo",
+                           "--seed", "5", "--out-dir", "out"]], True),
     ("collect-train", "2", [
         ["collect", "--scenes", "4", "--episodes", "30", "--seed", "1234", "--out", "expert.jsonl"],
         ["train", "--data", "expert.jsonl", "--epochs", "30", "--seed", "0", "--out", "model.json"],
