@@ -77,28 +77,31 @@ def cmd_scene(args) -> int:
     return 0
 
 
+def _drawn(token) -> bool:
+    """True if the scene's world is drawn from the episode seed (presets 4-9); a fixed
+    scene (preset 1-3 or a file) ignores the seed, so all its episodes are one episode."""
+    return isinstance(token, int) and token in RANDOM_PRESETS
+
+
 def cmd_collect(args) -> int:
     rc = _load_config(args)
     scenes = [_scene_token(t) for t in args.scenes]
     tasks = []
     for ep in range(args.episodes):
         token = scenes[ep % len(scenes)]
-        # a preset draws a fresh world per episode; a scene file is flown as is
-        if isinstance(token, SceneSpec):
-            label = token.name or f"fixed-ep{ep}"
-        else:
-            label = f"scene{token}-ep{ep}"
-        tasks.append({"scene": token, "scene_label": label,
-                      "seed": derive_seed(args.seed, ep), "config": rc})
+        # a fixed scene flies at the first episode that uses it, so its records are written once
+        if _drawn(token) or token not in scenes[:ep]:
+            tasks.append({"scene": token, "scene_label": f"{_scene_label(token)}-ep{ep}",
+                          "seed": derive_seed(args.seed, ep), "config": rc})
     results = _run_tasks(tasks, _collect_episode)
     # records of failed episodes are dropped; the summary counts them
     records = [rec for r in results if r["success"] for rec in r["records"]]
     succeeded = sum(r["success"] for r in results)
     summary = {
         "format": neural.DATASET_FORMAT,
-        "episodes": args.episodes,
+        "episodes": len(tasks),
         "succeeded": succeeded,
-        "failed": args.episodes - succeeded,
+        "failed": len(tasks) - succeeded,
         "records": len(records),
     }
     neural.save_dataset(records, args.out)
@@ -226,15 +229,14 @@ def _run_tasks(tasks: list[dict], worker) -> list[dict]:
 
 def _fly_grid(scenes, arms, runs, seed, model_path) -> list[dict]:
     """_bench_episode's row for every (scene, arm, run) in order; an arm is an (init, RunConfig)
-    pair.  Arms see paired worlds: a world depends only on (scene, run).  A fixed scene (preset
-    1-3 or a file) ignores the seed, so only run 0 of each arm flies and later runs copy its row
-    under their own index, run and seed, unless measured wall times make runs differ."""
+    pair.  Arms see paired worlds: a world depends only on (scene, run).  Of a scene that is not
+    _drawn only run 0 of each arm flies and later runs copy its row under their own index, run
+    and seed, unless measured wall times make runs differ."""
     tasks, flies = [], []
     for si, token in enumerate(scenes):
-        drawn = isinstance(token, int) and token in RANDOM_PRESETS
         for init, rc in arms:
             for run in range(runs):
-                flies.append(drawn or rc.replan.use_wall_time or run == 0)
+                flies.append(_drawn(token) or rc.replan.use_wall_time or run == 0)
                 tasks.append({"index": len(tasks), "scene": token, "init": init, "run": run,
                               "seed": derive_seed(seed, si * 1000003 + run),
                               "model_path": model_path, "config": rc})

@@ -154,9 +154,9 @@ class MlpModel:
     def __init__(
         self,
         norm: NormConstants,
-        depth_sizes=(64, *DEPTH_HIDDEN),
+        depth_sizes,
+        head_sizes,
         inertial_sizes=(12, 24, 24),
-        head_sizes=(*HEAD_HIDDEN, 7),
         slope: float = 0.01,
         seed: int = 0,
     ):
@@ -272,6 +272,14 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
+        """The model of a parsed model document; a document of another type or without a
+        key is a ValueError, one whose weights do not fit its sizes a ModelShapeMismatch."""
+        if not isinstance(d, dict) or d.get("format", MODEL_FORMAT) != MODEL_FORMAT:
+            raise ValueError(f"not a {MODEL_FORMAT} document: {str(d)[:60]}")
+        missing = [k for k in ("depth_sizes", "inertial_sizes", "head_sizes", "slope", "norm",
+                               "params") if k not in d]
+        if missing:
+            raise ValueError(f"model lacks {', '.join(missing)}")
         model = cls(
             depth_sizes=d["depth_sizes"],
             inertial_sizes=d["inertial_sizes"],
@@ -380,11 +388,15 @@ def save_dataset(records: list[dict], path) -> None:
 
 
 def load_dataset(path) -> list[dict]:
+    """The records of a dataset file; a record without obs or target is a ValueError."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                records.append(json.loads(line))
+                record = json.loads(line)
+                if not (isinstance(record, dict) and {"obs", "target"} <= record.keys()):
+                    raise ValueError(f"{path} line {number}: a record needs obs and target")
+                records.append(record)
     return records
 

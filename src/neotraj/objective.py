@@ -235,21 +235,18 @@ def _sampled_penalty(traj: Trajectory, kappa: int, pen, dpen_dc, dpen_ds):
     return _sum_in_order(scale * w_pen), scale[:, None, None] * dpen_dc, dk_dt
 
 
-def obstacle_cost(traj: Trajectory, world, cfg: PenaltyConfig, samples: Samples | None = None):
+def obstacle_cost(traj: Trajectory, world, cfg: PenaltyConfig, samples: Samples):
     """Clearance penalty accumulated along trapezoid samples of each piece.
 
     Penalty at a sample is max(d_safe - dist, 0)^3 with dist taken from the
     world's bilinearly interpolated signed distance field, so inside an
     obstacle the penalty keeps growing with penetration depth and its
     gradient points out; out-of-bounds samples count as zero clearance.
-    `samples` is sample_trajectory(traj, cfg.kappa), built here if not given.
-    Returns (cost, dK_dC, dK_dt).
+    `samples` is sample_trajectory(traj, cfg.kappa).  Returns (cost, dK_dC, dK_dt).
     """
     kappa = cfg.kappa
     c = traj.coefficients
     m, _, d = c.shape
-    if samples is None:
-        samples = sample_trajectory(traj, kappa)
     dist, dgrad = world.query_distance(samples.values[0].reshape(-1, d))
     gap = np.maximum(cfg.d_safe - dist, 0.0).reshape(m, kappa + 1)
     if not gap.any():
@@ -261,17 +258,14 @@ def obstacle_cost(traj: Trajectory, world, cfg: PenaltyConfig, samples: Samples 
     return _sampled_penalty(traj, kappa, gap**3, dpen_dc, dpen_ds)
 
 
-def feasibility_cost(traj: Trajectory, cfg: PenaltyConfig, samples: Samples | None = None):
+def feasibility_cost(traj: Trajectory, cfg: PenaltyConfig, samples: Samples):
     """Velocity/acceleration limit penalty with the same sampling scheme.
 
     Penalty is max(|v|^2 - v_max^2, 0)^3 + max(|a|^2 - a_max^2, 0)^3.
-    `samples` is sample_trajectory(traj, cfg.kappa), built here if not given.
-    Returns (cost, dK_dC, dK_dt).
+    `samples` is sample_trajectory(traj, cfg.kappa).  Returns (cost, dK_dC, dK_dt).
     """
     kappa = cfg.kappa
     c = traj.coefficients
-    if samples is None:
-        samples = sample_trajectory(traj, kappa)
     # velocity and acceleration stacked on axis 0 through every step
     va = samples.values[1:3]
     limits = np.array([cfg.v_max**2, cfg.a_max**2])[:, None, None]
@@ -298,7 +292,7 @@ class ObjectiveSetup:
 
     init: BoundaryState
     target: BoundaryState
-    world: object | None
+    world: object
     weights: CostWeights
     penalty: PenaltyConfig
     transform: TimeTransform
@@ -333,10 +327,9 @@ def total_objective(q: np.ndarray, tau: np.ndarray, setup: ObjectiveSetup):
     if w.time != 0.0:
         tc, tg = time_cost(tbar)
         terms.append((w.time, (tc, None, tg)))
-    obstacle = w.obstacle != 0.0 and setup.world is not None
-    if obstacle or w.feasibility != 0.0:
+    if w.obstacle != 0.0 or w.feasibility != 0.0:
         samples = sample_trajectory(traj, pen.kappa)
-        if obstacle:
+        if w.obstacle != 0.0:
             terms.append((w.obstacle, obstacle_cost(traj, setup.world, pen, samples)))
         if w.feasibility != 0.0:
             terms.append((w.feasibility, feasibility_cost(traj, pen, samples)))

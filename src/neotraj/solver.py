@@ -207,7 +207,7 @@ def plan(
     solver_cfg: SolverConfig,
     s_order: int,
 ) -> PlanResult:
-    """Run one spatial-temporal optimization from an initial guess (world None: no obstacles)."""
+    """Run one spatial-temporal optimization from an initial guess."""
     setup = ObjectiveSetup(init, target, world, weights, penalty, transform, s_order)
     d, m = guess.dims, guess.n_pieces
     tau0 = objective.time_to_tau(clamp_durations(guess.durations, transform), transform)

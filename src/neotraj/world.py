@@ -70,7 +70,17 @@ class SceneSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
-        return cls(
+        """The scene of a parsed scene document (`format` may be left out); a document of
+        another type, without a key, or with its start or goal out of bounds is a ValueError."""
+        if not isinstance(d, dict) or d.get("format", SCENE_FORMAT) != SCENE_FORMAT:
+            raise ValueError(f"not a {SCENE_FORMAT} document: {str(d)[:60]}")
+        missing = [k for k in ("bounds", "obstacles", "start", "goal") if k not in d]
+        if missing:
+            raise ValueError(f"scene lacks {', '.join(missing)}")
+        if not all(isinstance(o, dict) and {"cx", "cy", "width"} <= o.keys()
+                   for o in d["obstacles"]):
+            raise ValueError("every scene obstacle needs cx, cy and width")
+        spec = cls(
             bounds=tuple(d["bounds"]),
             obstacles=[(o["cx"], o["cy"], o["width"]) for o in d["obstacles"]],
             start=tuple(d["start"]),
@@ -78,6 +88,11 @@ class SceneSpec:
             seed=int(d.get("seed", 0)),
             name=d.get("name", ""),
         )
+        xmin, ymin, xmax, ymax = spec.bounds
+        for key, (x, y) in (("start", spec.start), ("goal", spec.goal)):
+            if not (xmin <= x <= xmax and ymin <= y <= ymax):
+                raise ValueError(f"scene {key} {(x, y)} lies outside its bounds {spec.bounds}")
+        return spec
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from neotraj import neural
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
 from neotraj.config import RunConfig
 from neotraj.world import GridWorld, SceneSpec, generate_scene
@@ -11,6 +12,9 @@ RC = RunConfig()
 SETUP_ARGS = (RC.weights, RC.penalty, RC.transform, RC.s_order)
 PLAN_ARGS = (RC.weights, RC.penalty, RC.transform, RC.solver, RC.s_order)
 EXPERT_ARGS = (RC.m_pieces, *PLAN_ARGS[:4], RC.deform_amplitude, RC.cruise_fraction, RC.s_order)
+# the network's layer sizes under RC, as `neotraj train` builds them
+MODEL_SIZES = {"depth_sizes": (RC.n_rays, *neural.DEPTH_HIDDEN),
+               "head_sizes": (*neural.HEAD_HIDDEN, neural.plan_width(RC.m_pieces))}
 
 
 @pytest.fixture(scope="session")

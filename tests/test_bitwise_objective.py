@@ -422,7 +422,7 @@ def test_saturated_and_zero_tau_equal_reference_bitwise(tau):
 
 
 def assert_terms_bitwise(traj, world, cfg=PenaltyConfig()):
-    """Every term with shared samples, and built alone, against the reference.
+    """Every term, the sampled ones with shared samples, against the reference.
 
     Returns whether the obstacle and the feasibility terms were active.
     """
@@ -433,11 +433,7 @@ def assert_terms_bitwise(traj, world, cfg=PenaltyConfig()):
          reference_control_effort(traj, RC.s_order)),
         ("obstacle", objective.obstacle_cost(traj, world, cfg, samples),
          reference_obstacle_cost(traj, world, cfg)),
-        ("obstacle", objective.obstacle_cost(traj, world, cfg),
-         reference_obstacle_cost(traj, world, cfg)),
         ("feasibility", objective.feasibility_cost(traj, cfg, samples),
-         reference_feasibility_cost(traj, cfg)),
-        ("feasibility", objective.feasibility_cost(traj, cfg),
          reference_feasibility_cost(traj, cfg)),
     ):
         assert type(got[0]) is float and same_bits(got[0], ref[0]), key

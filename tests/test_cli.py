@@ -336,6 +336,38 @@ def test_collect_deterministic(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]  # worker-pool size cannot affect the dataset
 
 
+@pytest.mark.slow
+def test_collect_flies_a_fixed_scene_once(tmp_path, monkeypatch):
+    # episodes 0 and 2 use the poles scene, which ignores the seed, so only episode 0 flies it;
+    # a 28 m goal tolerance ends each episode within the 5 s timeout after five replans
+    monkeypatch.setenv("NEOTRAJ_WORKERS", "1")
+    flown = []
+    fly = cli.run_episode
+    monkeypatch.setattr(cli, "run_episode", lambda *a, **kw: flown.append(1) or fly(*a, **kw))
+    data = tmp_path / "d.jsonl"
+    config = short_config(tmp_path, timeout=5.0, goal_tolerance=28.0)
+    assert run(["collect", "--scenes", "1", "4", "--episodes", 4, "--config", config,
+                "--out", data]) == 0
+    assert len(flown) == 3
+    summary = json.loads(Path(f"{data}.summary.json").read_text())
+    assert (summary["episodes"], summary["failed"]) == (3, 0)
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    assert any(r["scene"] == "scene1-ep0" for r in records)
+    # two worlds with nothing in view yet can yield one record; one scene yields each record once
+    assert len({(r["scene"].split("-")[0], tuple(r["obs"]), tuple(r["target"]), r["t"])
+                for r in records}) == len(records)
+
+
+# malformed input files, written for test_errors_reach_main_as_one_line
+BAD_INPUTS = {
+    "boundless.json": {"format": "neotraj-scene-1"},
+    "array.json": [1, 2],
+    "sizeless.json": {"format": "neotraj-model-1"},
+    "targetless.jsonl": {"obs": [1.0]},
+    "far.json": {"bounds": [0, 0, 10, 10], "obstacles": [], "start": [1, 1], "goal": [50, 9]},
+}
+
+
 def one_error_line(capsys) -> bool:
     err = capsys.readouterr().err
     return err.startswith("error: ") and err.count("error:") == 1
@@ -351,10 +383,17 @@ def one_error_line(capsys) -> bool:
     (["scene", "--count", 2, "--width-min", 0.5, "--width-max", 50, "--out", "s.json"], 1),
     (["latency", "--scenes", "1", "--latency", -0.5, "--out", "lat.csv"], 1),
     (["bench", "--scenes", "4", "--inits", ",", "--out-dir", "b"], 1),  # no initializer
+    (["fly", "--scene", "boundless.json"], 1),
+    (["fly", "--scene", "array.json"], 1),  # not a JSON object
+    (["fly", "--scene", "4", "--init", "neo", "--model", "sizeless.json"], 1),
+    (["train", "--data", "targetless.jsonl", "--out", "m.json"], 1),
+    (["fly", "--scene", "far.json"], 1),  # the goal lies outside the bounds
 ])
 def test_errors_reach_main_as_one_line(tmp_path, monkeypatch, capsys, args, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.jsonl").write_text("")
+    for name, doc in BAD_INPUTS.items():
+        (tmp_path / name).write_text(json.dumps(doc) + "\n")
     assert run(args) == code
     assert one_error_line(capsys)
 

@@ -24,6 +24,7 @@ SECTIONS = {f.name for f in dataclasses.fields(RunConfig)
 # parameter names that carry a config value: the flat keys, the sections, the aliases
 CONFIG_NAMES = set(RC.to_dict()) | SECTIONS | {
     "m", "tf", "solver_cfg", "cfg", "amplitude", "inflate", "norm", "d_look",
+    "depth_sizes", "head_sizes",
 }
 ALLOWED = {("expert_plan", "s_order"): RC.s_order}
 CONFIG_CLASSES = {RunConfig} | {type(getattr(RC, section)) for section in SECTIONS}

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import EXPERT_ARGS, PLAN_ARGS, RC
+from conftest import EXPERT_ARGS, MODEL_SIZES, PLAN_ARGS, RC
 from neotraj.errors import NoPath
 from neotraj.initializers import (
     InitStrategy,
@@ -102,11 +102,12 @@ def test_geo_guess_cheaper_on_blocked_segment():
     target = BoundaryState([10, 0], [0, 0])
 
     def obstacle_term(guess):
-        from neotraj.objective import obstacle_cost
+        from neotraj.objective import obstacle_cost, sample_trajectory
         from neotraj.minco import TrajParams, solve_coeffs
 
         traj = solve_coeffs(init, target, guess, RC.s_order)
-        return obstacle_cost(traj, world, PenaltyConfig())[0]
+        cfg = PenaltyConfig()
+        return obstacle_cost(traj, world, cfg, sample_trajectory(traj, cfg.kappa))[0]
 
     g = geo_init(world, init, target, 3, TF, *CRUISE, INFLATE)
     b = baseline_init(init, target, 3, TF, *CRUISE)
@@ -248,7 +249,7 @@ def test_expert_plans_at_the_given_s_order(empty_world):
 
 def _identity_model():
     # head weights wired so the output equals a fixed vector, for decode tests
-    model = MlpModel(RC.norm_constants(), seed=0)
+    model = MlpModel(RC.norm_constants(), **MODEL_SIZES, seed=0)
     for name in model.layers:
         model.layers[name] = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers[name]]
     return model

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import RC
+from conftest import MODEL_SIZES, RC
 from neotraj.errors import EmptyDataset, ModelShapeMismatch, ShapeMismatch
 from neotraj.minco import BoundaryState
 from neotraj.neural import (
@@ -28,7 +28,7 @@ NORM = RC.norm_constants()
 
 
 def zero_model(**kw):
-    model = MlpModel(NORM, **kw)
+    model = MlpModel(NORM, **{**MODEL_SIZES, **kw})
     for name in model.layers:
         model.layers[name] = [(np.zeros_like(w), np.zeros_like(b)) for w, b in model.layers[name]]
     return model
@@ -40,7 +40,7 @@ def test_forward_zero_weights():
 
 
 def test_forward_linear_output_scaling(rng):
-    model = MlpModel(NORM, seed=4)
+    model = MlpModel(NORM, **MODEL_SIZES, seed=4)
     x = rng.normal(size=76)
     y1 = model.forward(x)
     w, b = model.layers["head"][-1]
@@ -50,26 +50,26 @@ def test_forward_linear_output_scaling(rng):
 
 def test_forward_deterministic(rng):
     x = rng.normal(size=(3, 76))
-    a = MlpModel(NORM, seed=9).forward(x)
-    b = MlpModel(NORM, seed=9).forward(x)
+    a = MlpModel(NORM, **MODEL_SIZES, seed=9).forward(x)
+    b = MlpModel(NORM, **MODEL_SIZES, seed=9).forward(x)
     assert np.array_equal(a, b)
 
 
 def test_forward_shape_check():
     with pytest.raises(ShapeMismatch):
-        MlpModel(NORM).forward(np.zeros(75))
+        MlpModel(NORM, **MODEL_SIZES).forward(np.zeros(75))
 
 
 def test_default_architecture_sizes():
-    model = MlpModel(NORM)
+    model = MlpModel(NORM, **MODEL_SIZES)
     assert model.n_inputs == 76
     assert model.n_outputs == 7
     with pytest.raises(ModelShapeMismatch):
-        MlpModel(NORM, head_sizes=(40, 96, 7))
+        MlpModel(NORM, depth_sizes=MODEL_SIZES["depth_sizes"], head_sizes=(40, 96, 7))
 
 
 def test_backward_zero_at_perfect_fit(rng):
-    model = MlpModel(NORM, seed=1)
+    model = MlpModel(NORM, **MODEL_SIZES, seed=1)
     x = rng.normal(size=(4, 76))
     y = model.forward(x)
     loss, grads = model.backward(x, y)
@@ -146,7 +146,7 @@ def test_train_overfit_small_dataset(rng):
     x = rng.normal(size=(64, 76))
     y = rng.normal(size=(64, 7)) * 0.5
     recs = [{"obs": a.tolist(), "target": b.tolist()} for a, b in zip(x, y)]
-    model, curve = train(recs, MlpModel(NORM, seed=0), LEARNING_RATE, 500, 0)
+    model, curve = train(recs, MlpModel(NORM, **MODEL_SIZES, seed=0), LEARNING_RATE, 500, 0)
     assert curve[-1]["train_mse"] < 1e-3
     assert all(np.isfinite(c["train_mse"]) and np.isfinite(c["val_mse"]) for c in curve)
 
@@ -158,31 +158,31 @@ def test_train_constant_target(rng):
     x = np.hstack([np.ones((n, 64)), rng.normal(scale=0.3, size=(n, 12))])
     y = np.tile(np.array([0.3, -0.2, 0.5, 0.1, 0.0, -0.4, 0.2]), (n, 1))
     recs = [{"obs": a.tolist(), "target": b.tolist()} for a, b in zip(x, y)]
-    model, curve = train(recs, MlpModel(NORM, seed=1), LEARNING_RATE, 100, 1)
+    model, curve = train(recs, MlpModel(NORM, **MODEL_SIZES, seed=1), LEARNING_RATE, 100, 1)
     assert min(c["val_mse"] for c in curve) < 1e-4
 
 
 def test_train_empty_dataset():
     with pytest.raises(EmptyDataset):
-        train([], MlpModel(NORM), LEARNING_RATE, EPOCHS, 0)
+        train([], MlpModel(NORM, **MODEL_SIZES), LEARNING_RATE, EPOCHS, 0)
 
 
 @pytest.mark.parametrize("learning_rate, epochs", [(0.0, 1), (-1e-3, 1), (1e-3, 0)])
 def test_train_rejects_bad_rate_or_epochs(learning_rate, epochs):
     recs = [{"obs": [0.0] * 76, "target": [0.0] * 7}] * 2
     with pytest.raises(ValueError, match="positive"):
-        train(recs, MlpModel(NORM), learning_rate, epochs, 0)
+        train(recs, MlpModel(NORM, **MODEL_SIZES), learning_rate, epochs, 0)
 
 
 def test_train_rejects_records_the_model_does_not_fit():
     # a dataset collected with m_pieces 4 holds 10-wide targets; the default net emits 7
     recs = [{"obs": [0.0] * 76, "target": [0.0] * 10}] * 4
     with pytest.raises(ModelShapeMismatch, match="10 targets; the model maps 76 to 7"):
-        train(recs, MlpModel(NORM), LEARNING_RATE, 1, 0)
+        train(recs, MlpModel(NORM, **MODEL_SIZES), LEARNING_RATE, 1, 0)
 
 
 def test_model_json_roundtrip(tmp_path, rng):
-    model = MlpModel(NORM, seed=2)
+    model = MlpModel(NORM, **MODEL_SIZES, seed=2)
     path = tmp_path / "model.json"
     model.save(path)
     loaded = MlpModel.load(path)
@@ -196,7 +196,7 @@ def test_model_json_roundtrip(tmp_path, rng):
 
 @pytest.mark.parametrize("damage", ["missing_layer", "transposed_weight"])
 def test_model_from_dict_rejects_bad_branch_shapes(damage):
-    doc = MlpModel(NORM, seed=0).to_dict()
+    doc = MlpModel(NORM, **MODEL_SIZES, seed=0).to_dict()
     if damage == "missing_layer":
         doc["params"]["inertial"].pop()
     else:
@@ -214,7 +214,7 @@ def test_committed_model_file_saves_back_byte_identical(tmp_path):
 
 
 def test_backward_loss_is_the_forward_pass_mse(rng):
-    model = MlpModel(NORM, seed=4)
+    model = MlpModel(NORM, **MODEL_SIZES, seed=4)
     x, y = rng.normal(size=(5, 76)), rng.normal(size=(5, 7))
     loss, _ = model.backward(x, y)
     assert loss == float(np.mean((model.forward(x) - y) ** 2))

@@ -17,6 +17,7 @@ from neotraj.objective import (
     control_effort,
     feasibility_cost,
     obstacle_cost,
+    sample_trajectory,
     tau_to_time,
     time_cost,
     time_to_tau,
@@ -65,12 +66,13 @@ def test_time_cost():
 
 def test_obstacle_cost_empty_world(empty_world, rng):
     # any in-bounds trajectory (out-of-bounds samples count as zero clearance)
+    cfg = PenaltyConfig()
     for _ in range(10):
         init = BoundaryState([10.0, 0.0] + rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2))
         target = BoundaryState([16.0, 0.0] + rng.uniform(-1, 1, 2), rng.uniform(-0.5, 0.5, 2))
         q = np.column_stack([rng.uniform([11, -3], [15, 3]) for _ in range(2)])
         traj = solve_coeffs(init, target, TrajParams(q, rng.uniform(1.5, 3.0, 3)), RC.s_order)
-        cost, dc, dt = obstacle_cost(traj, empty_world, PenaltyConfig())
+        cost, dc, dt = obstacle_cost(traj, empty_world, cfg, sample_trajectory(traj, cfg.kappa))
         assert cost == 0.0
         assert all(np.allclose(g, 0.0) for g in dc) and np.allclose(dt, 0.0)
 
@@ -83,8 +85,9 @@ def test_obstacle_cost_against_dense_quadrature():
     coef[0, 0] = 3.0
     coef[1, 0] = 1.0
     traj = Trajectory([coef], [4.0])
-    coarse, _, _ = obstacle_cost(traj, world, PenaltyConfig(kappa=16))
-    dense, _, _ = obstacle_cost(traj, world, PenaltyConfig(kappa=4096))
+    coarse, _, _ = obstacle_cost(traj, world, PenaltyConfig(kappa=16), sample_trajectory(traj, 16))
+    dense, _, _ = obstacle_cost(traj, world, PenaltyConfig(kappa=4096),
+                                sample_trajectory(traj, 4096))
     assert coarse > 0.0
     assert coarse == pytest.approx(dense, rel=0.02)
 
@@ -93,7 +96,8 @@ def test_feasibility_zero_within_limits(rng):
     init = BoundaryState([0.0, 0.0], [0.0, 0.0])
     target = BoundaryState([1.0, 0.0], [0.0, 0.0])
     traj = solve_coeffs(init, target, TrajParams(np.array([[0.5], [0.0]]), [2.0, 2.0]), RC.s_order)
-    cost, dc, dt = feasibility_cost(traj, PenaltyConfig())
+    cfg = PenaltyConfig()
+    cost, dc, dt = feasibility_cost(traj, cfg, sample_trajectory(traj, cfg.kappa))
     assert cost == 0.0
     assert all(np.allclose(g, 0.0) for g in dc) and np.allclose(dt, 0.0)
 
@@ -101,8 +105,10 @@ def test_feasibility_zero_within_limits(rng):
 def test_feasibility_constant_speed_closed_form():
     coef = np.zeros((6, 2))
     coef[1, 0] = 1.2
+    cfg = PenaltyConfig()
     for tb in (0.7, 1.3, 3.0):
-        cost, _, _ = feasibility_cost(Trajectory([coef], [tb]), PenaltyConfig())
+        traj = Trajectory([coef], [tb])
+        cost, _, _ = feasibility_cost(traj, cfg, sample_trajectory(traj, cfg.kappa))
         assert cost == pytest.approx(tb * (1.2**2 - 1.0**2) ** 3, rel=1e-12)
 
 
@@ -180,14 +186,16 @@ def test_total_objective_pure(scene4_world):
 
 
 def test_all_terms_nonnegative_and_finite(scene4_world, rng):
+    cfg = PenaltyConfig()
     for _ in range(20):
         init, target, params = random_instance(rng)
         traj = solve_coeffs(init, target, params, RC.s_order)
+        samples = sample_trajectory(traj, cfg.kappa)
         for cost in (
             control_effort(traj, RC.s_order)[0],
             time_cost(params.durations)[0],
-            obstacle_cost(traj, scene4_world, PenaltyConfig())[0],
-            feasibility_cost(traj, PenaltyConfig())[0],
+            obstacle_cost(traj, scene4_world, cfg, samples)[0],
+            feasibility_cost(traj, cfg, samples)[0],
         ):
             assert np.isfinite(cost) and cost >= 0.0
 
@@ -196,9 +204,10 @@ def test_piecewise_accumulation(scene4_world, rng):
     # each term equals the sum of its single-piece evaluations
     init, target, params = random_instance(rng)
     traj = solve_coeffs(init, target, params, RC.s_order)
+    cfg = PenaltyConfig()
     for term in (lambda t: control_effort(t, RC.s_order),
-                 lambda t: feasibility_cost(t, PenaltyConfig()),
-                 lambda t: obstacle_cost(t, scene4_world, PenaltyConfig())):
+                 lambda t: feasibility_cost(t, cfg, sample_trajectory(t, cfg.kappa)),
+                 lambda t: obstacle_cost(t, scene4_world, cfg, sample_trajectory(t, cfg.kappa))):
         total = term(traj)[0]
         parts = 0.0
         for i in range(traj.n_pieces):
@@ -325,9 +334,10 @@ def test_batched_terms_equal_piecewise_loop(scene4_world, rng, m):
         q = line + rng.normal(scale=1.0, size=line.shape)
         traj = solve_coeffs(init, target, TrajParams(q, rng.uniform(0.6, 3.5, size=m)), RC.s_order)
         ref = _loop_terms(traj, scene4_world, cfg)
+        samples = sample_trajectory(traj, cfg.kappa)
         for key, got in (("e", control_effort(traj, RC.s_order)),
-                         ("o", obstacle_cost(traj, scene4_world, cfg)),
-                         ("f", feasibility_cost(traj, cfg))):
+                         ("o", obstacle_cost(traj, scene4_world, cfg, samples)),
+                         ("f", feasibility_cost(traj, cfg, samples))):
             if key in active:
                 active[key] += ref[key][0] > 0.0
             assert got[0] == ref[key][0]

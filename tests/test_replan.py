@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import RC
+from conftest import MODEL_SIZES, RC
 from neotraj import replan
 from neotraj.config import RunConfig
 from neotraj.errors import NoFreeCell
@@ -251,9 +251,9 @@ def test_decision_wall_time_covers_every_plan(monkeypatch):
 
 
 def test_neo_refuses_a_model_of_another_piece_count(scene4_world):
-    # the default network emits 3-piece plans; an m_pieces 4 episode must not fly them
+    # RC's network emits 3-piece plans; an m_pieces 4 episode must not fly them
     rc = RunConfig.from_dict({"m_pieces": 4})
-    model = MlpModel(rc.norm_constants(), seed=0)
+    model = MlpModel(rc.norm_constants(), **MODEL_SIZES, seed=0)
     rep = run_episode(scene4_world, InitStrategy("neural", model), rc, seed=3)
     assert not rep.success
     assert rep.failure_reason == "model_shape_mismatch"

@@ -153,9 +153,11 @@ def test_plan_empty_world_monotone_descent():
     assert isinstance(result, PlanResult)
     assert result.cost <= h0
     # final trajectory clears obstacles trivially and stays within bounds
-    from neotraj.objective import PenaltyConfig, obstacle_cost
+    from neotraj.objective import PenaltyConfig, obstacle_cost, sample_trajectory
 
-    assert obstacle_cost(result.trajectory, world, PenaltyConfig())[0] == 0.0
+    cfg = PenaltyConfig()
+    samples = sample_trajectory(result.trajectory, cfg.kappa)
+    assert obstacle_cost(result.trajectory, world, cfg, samples)[0] == 0.0
     assert np.all(result.durations > 0.5) and np.all(result.durations < 5.0)
 
 

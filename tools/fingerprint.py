@@ -53,6 +53,9 @@ COMMANDS = [
         ["collect", "--scenes", "4", "--episodes", "30", "--seed", "1234", "--out", "expert.jsonl"],
         ["train", "--data", "expert.jsonl", "--epochs", "30", "--seed", "0", "--out", "model.json"],
     ], True),
+    # preset 1 is a fixed scene, flown at its first episode only, and preset 4 a drawn one
+    ("collect-fixed", "2", [["collect", "--scenes", "1", "4", "--episodes", "4", "--seed", "3",
+                             "--out", "fixed.jsonl"]], True),
     ("fly-geo", "1", [FLY + ["--init", "geo"]], False),
     ("fly-neo", "1", [FLY + ["--init", "neo", "--model", MODEL]], False),
     ("fly-expert", "1", [FLY + ["--init", "expert"]], False),
