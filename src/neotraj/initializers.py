@@ -218,10 +218,10 @@ def expert_plan(
     cruise_fraction: float,
     s_order: int = 3,  # RunConfig().s_order; perfbench's PlanSet.decide passes ten arguments
 ) -> tuple[PlanResult, int, list[float]]:
-    """Optimize all three seeds and keep the cheapest result.
+    """Optimize all three seeds and keep the cheapest: `replan.decide` for the expert.
 
-    Returns (best PlanResult, chosen seed index, all three final costs);
-    cost ties resolve to the lowest index.
+    Returns (best PlanResult, chosen seed index, all three costs); ties go to the lowest index.
+    It keeps its own loop, since replan imports this module and perfbench hooks its `plan`.
     """
     guesses = deformed_guesses(
         init, target, m, transform, penalty.v_max, cruise_fraction, amplitude

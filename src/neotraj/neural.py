@@ -272,20 +272,28 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
-        """The model of a parsed model document; a document of another type or without a
-        key is a ValueError, one whose weights do not fit its sizes a ModelShapeMismatch."""
+        """The model of a parsed model document; a document of another type, without a key
+        or with a norm that is not numbers is a ValueError, one whose weights do not fit its
+        sizes a ModelShapeMismatch."""
         if not isinstance(d, dict) or d.get("format", MODEL_FORMAT) != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} document: {str(d)[:60]}")
         missing = [k for k in ("depth_sizes", "inertial_sizes", "head_sizes", "slope", "norm",
                                "params") if k not in d]
         if missing:
             raise ValueError(f"model lacks {', '.join(missing)}")
+        norm = d["norm"]
+        if not (isinstance(norm, dict) and {"d_look", "v_max", "max_range"} <= norm.keys()
+                <= {"d_look", "v_max", "max_range", "tau_scale"}
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                        for v in norm.values())):
+            raise ValueError(f"model norm {str(norm)[:60]} is not d_look, v_max, max_range "
+                             "and an optional tau_scale as numbers")
         model = cls(
             depth_sizes=d["depth_sizes"],
             inertial_sizes=d["inertial_sizes"],
             head_sizes=d["head_sizes"],
             slope=d["slope"],
-            norm=NormConstants(**d["norm"]),
+            norm=NormConstants(**norm),
         )
         for name, built in model.layers.items():
             stored = d["params"][name]

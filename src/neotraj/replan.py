@@ -205,6 +205,23 @@ def _heading_of(velocity, position, goal) -> float:
     return float(np.arctan2(to_goal[1], to_goal[0]))
 
 
+def decide(world: GridWorld, strategy: initializers.InitStrategy, s_init: BoundaryState,
+           s_target: BoundaryState, pos, vel, heading: float, setup: RunConfig, observe: bool):
+    """One replanning decision: plan each guess of the strategy in order through this module's
+    `plan` and return (each guess's PlanResult, the index `cheapest` keeps, the observation).
+    The observation (a raycast, then encode_observation) is built when `observe` is set or the
+    strategy carries a model, and is None otherwise."""
+    obs = None
+    if strategy.model is not None or observe:
+        norm = strategy.model.norm if strategy.model is not None else setup.norm_constants()
+        scan = world.raycast_scan(pos, heading, setup.n_rays, setup.fov_deg, setup.max_range)
+        obs = neural.encode_observation(scan, pos, vel, heading, s_init, s_target, norm)
+    guesses = strategy.guesses(world, s_init, s_target, obs, pos, heading, setup)
+    results = [plan(s_init, s_target, g, world, setup.weights, setup.penalty,
+                    setup.transform, setup.solver, setup.s_order) for g in guesses]
+    return results, initializers.cheapest([r.cost for r in results]), obs
+
+
 def run_episode(
     world: GridWorld,
     strategy: initializers.InitStrategy,
@@ -212,7 +229,7 @@ def run_episode(
     seed: int = 0,
     sample_sink=None,
 ) -> EpisodeReport:
-    """Simulate one flight from the scene's start to its goal.
+    """Simulate one flight from the scene's start to its goal, one `decide` per replan.
 
     sample_sink, when given, is called per replanning event with
     (observation, expert-frame target, t) and is meant for dataset
@@ -234,21 +251,14 @@ def run_episode(
     n_ticks = int(round(rc.timeout * rc.tick_rate))
 
     def do_replan(t_x: float) -> None:
-        """Plan each guess at t_x; add the cheapest plan to the timeline at its activation time."""
+        """Decide at t_x; add the kept plan to the timeline at its activation time."""
         t_start = time.perf_counter()  # the decision's wall time: observation, guesses, plans
-        p0, v0, a0 = committed.query(t_x + rc.foresee)
-        s_init = BoundaryState(p0, v0, a0)
-        s_target = select_local_goal(world, p0, goal, setup)
-        obs = None
+        s_init = BoundaryState(*committed.query(t_x + rc.foresee))
+        s_target = select_local_goal(world, s_init.position, goal, setup)
         heading = _heading_of(vel, pos, goal)
-        if strategy.model is not None or sample_sink is not None:
-            scan = world.raycast_scan(pos, heading, setup.n_rays, setup.fov_deg, setup.max_range)
-            obs = neural.encode_observation(scan, pos, vel, heading, s_init, s_target, norm)
-
-        guesses = strategy.guesses(world, s_init, s_target, obs, pos, heading, setup)
-        results = [plan(s_init, s_target, g, world, setup.weights, setup.penalty,
-                        setup.transform, setup.solver, setup.s_order) for g in guesses]
-        result = results[initializers.cheapest([r.cost for r in results])]
+        results, best, obs = decide(world, strategy, s_init, s_target, pos, vel, heading, setup,
+                                    sample_sink is not None)
+        result = results[best]
         wall_time = time.perf_counter() - t_start
 
         if sample_sink is not None:

@@ -46,6 +46,12 @@ DEFAULT_START = (0.0, 0.0)
 DEFAULT_GOAL = (30.0, 0.0)
 
 
+def _numbers(values, n: int) -> bool:
+    """Whether values is a list of n numbers (ints or floats, not bools), as JSON holds them."""
+    return (isinstance(values, (list, tuple)) and len(values) == n
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values))
+
+
 @dataclass
 class SceneSpec:
     """Scene description: bounds, obstacle squares, endpoints, seed."""
@@ -71,15 +77,20 @@ class SceneSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
         """The scene of a parsed scene document (`format` may be left out); a document of
-        another type, without a key, or with its start or goal out of bounds is a ValueError."""
+        another type, without a key, with a value that is not numbers where numbers go, or
+        with its start or goal out of bounds is a ValueError."""
         if not isinstance(d, dict) or d.get("format", SCENE_FORMAT) != SCENE_FORMAT:
             raise ValueError(f"not a {SCENE_FORMAT} document: {str(d)[:60]}")
         missing = [k for k in ("bounds", "obstacles", "start", "goal") if k not in d]
         if missing:
             raise ValueError(f"scene lacks {', '.join(missing)}")
-        if not all(isinstance(o, dict) and {"cx", "cy", "width"} <= o.keys()
-                   for o in d["obstacles"]):
-            raise ValueError("every scene obstacle needs cx, cy and width")
+        for key, n in (("bounds", 4), ("start", 2), ("goal", 2)):
+            if not _numbers(d[key], n):
+                raise ValueError(f"scene {key} {str(d[key])[:60]} is not {n} numbers")
+        if not isinstance(d["obstacles"], list) or not all(
+                isinstance(o, dict) and {"cx", "cy", "width"} <= o.keys()
+                and _numbers([o["cx"], o["cy"], o["width"]], 3) for o in d["obstacles"]):
+            raise ValueError("every scene obstacle needs cx, cy and width as numbers")
         spec = cls(
             bounds=tuple(d["bounds"]),
             obstacles=[(o["cx"], o["cy"], o["width"]) for o in d["obstacles"]],

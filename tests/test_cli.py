@@ -358,6 +358,7 @@ def test_collect_flies_a_fixed_scene_once(tmp_path, monkeypatch):
                 for r in records}) == len(records)
 
 
+NEO_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "neo_model.json"
 # malformed input files, written for test_errors_reach_main_as_one_line
 BAD_INPUTS = {
     "boundless.json": {"format": "neotraj-scene-1"},
@@ -365,6 +366,9 @@ BAD_INPUTS = {
     "sizeless.json": {"format": "neotraj-model-1"},
     "targetless.jsonl": {"obs": [1.0]},
     "far.json": {"bounds": [0, 0, 10, 10], "obstacles": [], "start": [1, 1], "goal": [50, 9]},
+    "lettered.json": {"bounds": [0, 0, 10, 10], "obstacles": [], "start": ["a", 0],
+                      "goal": [5, 5]},
+    "normless.json": {**json.loads(NEO_MODEL.read_text()), "norm": {}},
 }
 
 
@@ -388,6 +392,8 @@ def one_error_line(capsys) -> bool:
     (["fly", "--scene", "4", "--init", "neo", "--model", "sizeless.json"], 1),
     (["train", "--data", "targetless.jsonl", "--out", "m.json"], 1),
     (["fly", "--scene", "far.json"], 1),  # the goal lies outside the bounds
+    (["fly", "--scene", "lettered.json"], 1),  # a start that is not numbers
+    (["fly", "--scene", "4", "--init", "neo", "--model", "normless.json"], 1),  # an empty norm
 ])
 def test_errors_reach_main_as_one_line(tmp_path, monkeypatch, capsys, args, code):
     monkeypatch.chdir(tmp_path)
@@ -427,9 +433,8 @@ def test_bench_rejects_a_model_that_does_not_fit_m_pieces(tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "run_episode", counting)
     config = tmp_path / "m4.json"
     config.write_text(json.dumps({"m_pieces": 4}))
-    model = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "neo_model.json"
     assert run(["bench", "--config", config, "--scenes", "4", "5", "--runs", 1,
-                "--inits", "baseline,neo", "--model", model, "--out-dir", tmp_path / "b"]) == 2
+                "--inits", "baseline,neo", "--model", NEO_MODEL, "--out-dir", tmp_path / "b"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("error:") == 1 and "m_pieces=4 needs 10" in err
     assert flown == [] and not (tmp_path / "b").exists()
@@ -476,8 +481,7 @@ def test_fly_and_bench_refuse_a_model_that_does_not_fit(tmp_path, monkeypatch, c
     monkeypatch.setattr(cli, "run_episode", lambda *args, **kwargs: flown.append(1))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    model = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "neo_model.json"
-    assert run([*command, "--config", path, "--model", model]) == 2
+    assert run([*command, "--config", path, "--model", NEO_MODEL]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("error:") == 1 and why in err
     assert flown == [] and sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

@@ -8,6 +8,9 @@ module that forgets an import fails at once instead of borrowing one.
 
 Only `initializers.py` maps a strategy kind to what it does: every other
 module asks the strategy for its guesses instead of testing its kind.
+
+The episode loop leaves each replanning decision to `replan.decide`: it
+asks for no guesses and plans and picks nothing itself.
 """
 
 import ast
@@ -70,4 +73,18 @@ def test_strategy_kind_is_tested_only_in_initializers():
                           for o in operands)
             if kind and literal:
                 found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_run_episode_leaves_the_decision_to_decide():
+    tree = ast.parse((PACKAGE / "replan.py").read_text())
+    episode = next(node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "run_episode")
+    found = []
+    for node in ast.walk(episode):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", ""))  # f(...) or x.f(...)
+        if name in ("plan", "cheapest", "guesses"):
+            found.append(f"replan.py:{node.lineno} calls {name}")
     assert not found, found

@@ -206,6 +206,19 @@ def test_model_from_dict_rejects_bad_branch_shapes(damage):
         MlpModel.from_dict(doc)
 
 
+@pytest.mark.parametrize("norm", [
+    {},
+    [5.0, 1.0, 5.0],
+    {"d_look": 5.0, "v_max": 1.0},
+    {"d_look": 5.0, "v_max": "1", "max_range": 5.0},
+    {"d_look": 5.0, "v_max": 1.0, "max_range": 5.0, "scale": 2.0},
+])
+def test_model_from_dict_rejects_a_norm_that_is_not_numbers(norm):
+    doc = {**MlpModel(NORM, **MODEL_SIZES, seed=0).to_dict(), "norm": norm}
+    with pytest.raises(ValueError, match="norm"):
+        MlpModel.from_dict(doc)
+
+
 def test_committed_model_file_saves_back_byte_identical(tmp_path):
     committed = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "neo_model.json"
     out = tmp_path / "model.json"

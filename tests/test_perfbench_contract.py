@@ -68,3 +68,28 @@ def test_trace_hooks_resolve(perfbench):
     tracer.install()
     tracer.uninstall()
     assert tracer.missing == set()
+
+
+def test_trace_sees_every_plan_of_an_episode_and_of_the_expert(perfbench):
+    # replan.plan_share reads the solver.plan spans under replan.episode, and
+    # initializers.expert_evals the ones under initializers.expert
+    from neotraj import replan
+    from neotraj.initializers import InitStrategy
+    from neotraj.world import GridWorld, SceneSpec
+
+    common, _, tracing, workloads = perfbench
+    rc, setup = common.episode_setup()
+    world = GridWorld(SceneSpec(start=(0.0, 0.0), goal=(4.0, 0.0)), rc.resolution)
+    plan_set = workloads.PlanSet()
+    plan_set.setup()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = replan.run_episode(world, InitStrategy("baseline"), setup, seed=0)
+        plan_set.decide("expert", plan_set.problems[0])
+    finally:
+        tracer.uninstall()
+    assert report.replan_count > 0
+    assert tracer.calls("solver.plan", "replan.episode") == report.replan_count
+    assert tracer.calls("solver.plan", "initializers.expert") == 3
+    assert tracer.calls("solver.plan") == report.replan_count + 3

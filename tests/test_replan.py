@@ -2,25 +2,28 @@
 
 import itertools
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import MODEL_SIZES, RC
+from conftest import EXPERT_ARGS, MODEL_SIZES, PLAN_ARGS, RC
 from neotraj import replan
 from neotraj.config import RunConfig
 from neotraj.errors import NoFreeCell
-from neotraj.initializers import InitStrategy
+from neotraj.initializers import InitStrategy, cheapest, expert_plan
 from neotraj.minco import BoundaryState, TrajParams, solve_coeffs
-from neotraj.neural import MlpModel
+from neotraj.neural import MlpModel, encode_observation
 from neotraj.replan import (
     CommittedTrajectory,
     EpisodeReport,
+    decide,
     derive_seed,
     run_episode,
     select_local_goal,
 )
+from neotraj.solver import plan
 from neotraj.world import GridWorld, SceneSpec, generate_scene
 
 
@@ -292,3 +295,72 @@ def test_collision_samples_count_sample_rows_inside_the_drone_radius():
     radius = rc.replan.drone_radius
     expected = sum(world.collides(np.array([row[1], row[2]]), radius) for row in report.samples)
     assert report.collision_samples == expected == 1
+
+
+# --- one replanning decision on frozen plan-set problems ---------------------
+
+DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
+
+
+def frozen_decision_inputs(index):
+    """(world, init, target, position, velocity, heading) of one frozen plan-set problem."""
+    doc = json.loads((DATA / "plan_set.json").read_text())
+    p = doc["problems"][index]
+    pose = p["pose"]
+    return (GridWorld(SceneSpec.from_dict(doc["worlds"][p["world"]]), RC.resolution),
+            BoundaryState(p["init"]["p"], p["init"]["v"], p["init"]["a"]),
+            BoundaryState(p["target"]["p"], p["target"]["v"]),
+            np.asarray(pose["p"], dtype=float), np.asarray(pose["v"], dtype=float),
+            pose["heading"])
+
+
+def strategy_of(kind):
+    return InitStrategy(kind, MlpModel.load(DATA / "neo_model.json") if kind == "neural" else None)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["baseline", "geo", "expert", "neural"])
+@pytest.mark.parametrize("index", [0, 40, 91])
+def test_decide_plans_every_guess_and_keeps_the_cheapest(index, kind):
+    world, init, target, pos, vel, heading = frozen_decision_inputs(index)
+    strategy = strategy_of(kind)
+    results, best, obs = decide(world, strategy, init, target, pos, vel, heading, RC, False)
+    guesses = strategy.guesses(world, init, target, obs, pos, heading, RC)
+    assert len(results) == len(guesses) == (3 if kind == "expert" else 1)
+    for got, guess in zip(results, guesses):
+        want = plan(init, target, guess, world, *PLAN_ARGS)
+        for field in ("waypoints", "durations", "cost"):
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+        assert same_bits(got.trajectory.coefficients, want.trajectory.coefficients)
+        assert (got.iterations, got.ls_evals, got.converged) == (
+            want.iterations, want.ls_evals, want.converged)
+    assert best == cheapest([r.cost for r in results])
+
+
+@pytest.mark.parametrize("kind, observe", [
+    ("baseline", False), ("baseline", True), ("expert", True), ("neural", False),
+])
+def test_decide_observes_when_asked_or_when_the_strategy_has_a_model(kind, observe):
+    world, init, target, pos, vel, heading = frozen_decision_inputs(40)
+    strategy = strategy_of(kind)
+    _, _, obs = decide(world, strategy, init, target, pos, vel, heading, RC, observe)
+    if strategy.model is None and not observe:
+        assert obs is None
+        return
+    norm = strategy.model.norm if strategy.model is not None else RC.norm_constants()
+    scan = world.raycast_scan(pos, heading, RC.n_rays, RC.fov_deg, RC.max_range)
+    assert same_bits(obs, encode_observation(scan, pos, vel, heading, init, target, norm))
+
+
+@pytest.mark.parametrize("index", [0, 40, 91])
+def test_decide_keeps_the_plan_expert_plan_keeps(index):
+    world, init, target, pos, vel, heading = frozen_decision_inputs(index)
+    results, best, _ = decide(world, InitStrategy("expert"), init, target, pos, vel, heading,
+                              RC, False)
+    kept, seed, costs = expert_plan(world, init, target, *EXPERT_ARGS)
+    assert (best, [r.cost for r in results]) == (seed, costs)
+    assert same_bits(results[best].trajectory.coefficients, kept.trajectory.coefficients)

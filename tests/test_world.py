@@ -147,6 +147,22 @@ def test_scene_json_roundtrip(tmp_path):
     assert set(doc["obstacles"][0]) == {"cx", "cy", "width"}
 
 
+@pytest.mark.parametrize("key, value", [
+    ("bounds", [0, 0, 10, "10"]),
+    ("bounds", [0, 0, 10]),
+    ("start", ["a", 0]),
+    ("goal", 5),
+    ("goal", [True, 0]),
+    ("obstacles", [{"cx": 3, "cy": None, "width": 1}]),
+    ("obstacles", {"cx": 3, "cy": 0, "width": 1}),
+])
+def test_scene_from_dict_rejects_values_that_are_not_numbers(key, value):
+    doc = {"bounds": [0, 0, 10, 10], "obstacles": [], "start": [1, 1], "goal": [5, 5],
+           key: value}
+    with pytest.raises(ValueError, match="numbers"):
+        SceneSpec.from_dict(doc)
+
+
 def test_fixed_layouts_load():
     for preset, name in FIXED_PRESETS.items():
         spec = generate_scene(preset=preset, seed=123)

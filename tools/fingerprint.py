@@ -17,13 +17,29 @@ from each checkout (copy this file into the older one) and diff the output:
 
     python tools/fingerprint.py > fingerprint.txt
 
+When they differ, a decision diff shows what moved.  `--dump FILE` runs the
+plan-set pass only, prints its `decisions` lines and writes one JSON line per
+decision: problem, init, cost, iterations, ls_evals, converged and the minimum
+clearance over the objective's kappa+1 samples of each piece.  `--compare A B`
+reads two dumps and prints how many decisions changed, the pooled change of
+iterations and ls_evals per initializer, the relative cost change (p50, p95,
+max) and every decision whose converged flag or clearance class (below 0,
+below drone_radius, clear) flipped:
+
+    python tools/fingerprint.py --dump before.jsonl    # in the older checkout
+    python tools/fingerprint.py --dump after.jsonl
+    python tools/fingerprint.py --compare before.jsonl after.jsonl
+
 perfbench is imported read-only: its set-up pins one BLAS thread for this
-process and every command it starts.  Takes 2-2.5 minutes on 2 cores.
+process and every command it starts.  Takes 2-2.5 minutes on 2 cores; a dump
+takes about 10 s.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -71,13 +87,18 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def decisions_digests() -> list[tuple[str, str]]:
-    """(label, SHA-256) of one plan-set pass in problem order: all decisions, then each init's."""
+def decisions() -> tuple[list[tuple[str, str]], list[dict]]:
+    """One plan-set pass in problem order: (label, SHA-256) of all decisions, then of each
+    init's, and one record per decision for --dump."""
     ws = workloads.PlanSet()
-    ws.setup()
+    ws.setup()  # puts the checkout's package on the path
+    from neotraj.objective import sample_trajectory
+
+    kappa = ws.es.penalty.kappa
     labels = ["decisions"] + [f"decisions.{init}" for init in workloads.INITS]
     hashes = {label: hashlib.sha256() for label in labels}
     counts = dict.fromkeys(labels, 0)
+    records = []
     for pi, prob in enumerate(ws.problems):
         inits = workloads.INITS if pi % workloads.EXPERT_EVERY == 0 else workloads.INITS[:-1]
         for init in inits:
@@ -89,7 +110,53 @@ def decisions_digests() -> list[tuple[str, str]]:
             for label in ("decisions", f"decisions.{init}"):
                 hashes[label].update(b"".join(parts))
                 counts[label] += 1
-    return [(f"{label}[{counts[label]}]", hashes[label].hexdigest()) for label in labels]
+            positions = sample_trajectory(r.trajectory, kappa).values[0].reshape(-1, 2)
+            clearance, _ = prob["world"].query_distance(positions)
+            records.append({"problem": pi, "init": init, "cost": float(r.cost),
+                            "iterations": int(r.iterations), "ls_evals": int(r.ls_evals),
+                            "converged": bool(r.converged), "clearance": float(np.min(clearance))})
+    digests = [(f"{label}[{counts[label]}]", hashes[label].hexdigest()) for label in labels]
+    return digests, records
+
+
+def _read_dump(path) -> dict:
+    with open(path) as fh:
+        return {(r["problem"], r["init"]): r for r in map(json.loads, fh)}
+
+
+def _clearance_class(clearance: float, radius: float) -> str:
+    return "below 0" if clearance < 0 else "below drone_radius" if clearance < radius else "clear"
+
+
+def compare(path_a, path_b) -> None:
+    """Print what moved between two --dump files, decision by decision."""
+    common.import_neotraj()
+    radius = common.episode_setup()[0].replan.drone_radius
+    a, b = _read_dump(path_a), _read_dump(path_b)
+    keys = sorted(a.keys() & b.keys())
+    changed = [k for k in keys if a[k] != b[k]]
+    print(f"{len(changed)} of {len(keys)} decisions changed; "
+          f"{len(a.keys() - b.keys())} only in A, {len(b.keys() - a.keys())} only in B")
+    for init in workloads.INITS:
+        ks = [k for k in keys if k[1] == init]
+        if ks:
+            moves = [f"{field} {sum(a[k][field] for k in ks)} -> {sum(b[k][field] for k in ks)} "
+                     f"({sum(b[k][field] - a[k][field] for k in ks):+d})"
+                     for field in ("iterations", "ls_evals")]
+            print(f"{init}: {len(ks)} decisions, " + ", ".join(moves))
+    if keys:
+        rel = [abs(b[k]["cost"] - a[k]["cost"]) / abs(a[k]["cost"]) for k in keys]
+        p50, p95 = np.percentile(rel, [50, 95])
+        print(f"relative |cost change|: p50 {p50:.3g}, p95 {p95:.3g}, max {max(rel):.3g}")
+    flips = 0
+    for k in keys:
+        ca, cb = (_clearance_class(d[k]["clearance"], radius) for d in (a, b))
+        if a[k]["converged"] != b[k]["converged"] or ca != cb:
+            flips += 1
+            print(f"flipped: problem {k[0]} [{k[1]}]: converged {a[k]['converged']} -> "
+                  f"{b[k]['converged']}, clearance {a[k]['clearance']:.3f} ({ca}) -> "
+                  f"{b[k]['clearance']:.3f} ({cb})")
+    print(f"{flips} decisions flipped their converged flag or clearance class")
 
 
 def command_digests(tmp: Path) -> list[tuple[str, str]]:
@@ -114,9 +181,22 @@ def command_digests(tmp: Path) -> list[tuple[str, str]]:
     return out
 
 
-def main() -> int:
-    for label, digest in decisions_digests():
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--dump", metavar="FILE", help="write the plan-set decisions to FILE")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="diff two --dump files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*args.compare)
+        return 0
+    digests, records = decisions()
+    for label, digest in digests:
         print(f"{label} {digest}", flush=True)
+    if args.dump:
+        with open(args.dump, "w") as fh:
+            fh.writelines(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         for label, digest in command_digests(Path(tmp)):
             print(f"{label} {digest}", flush=True)
