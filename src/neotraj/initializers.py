@@ -11,6 +11,7 @@ carry durations strictly inside the time-transform bounds.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,22 +106,28 @@ def astar_path(world: GridWorld, start, goal, inflate: float) -> np.ndarray:
     change, then row-major cell order, so the result is deterministic.
     Returns the path as an (K, 2) array of cell-center world coordinates.
     """
-    res = world.resolution
-    blocked = world.field < inflate
+    res, nx, ny = world.resolution, world.nx, world.ny
+    blocked = (world.field < inflate).tobytes()  # one byte per cell, row-major: iy * nx + ix
     s = world.cell_index(start)
     g = world.cell_index(goal)
-    if blocked[s[1], s[0]] or blocked[g[1], g[0]]:
+    if blocked[s[1] * nx + s[0]] or blocked[g[1] * nx + g[0]]:
         raise NoPath("start or goal cell blocked after inflation")
+    # costs in Python floats, each the value its numpy expression gives
+    steps = [(mv, float(res * (_SQRT2 if mv[0] and mv[1] else 1.0))) for mv in _MOVES]
+    heuristic: dict[tuple[int, int], float] = {}
 
     def h(cell):
-        return res * np.hypot(cell[0] - g[0], cell[1] - g[1])
+        value = heuristic.get(cell)
+        if value is None:
+            value = heuristic[cell] = float(res * np.hypot(cell[0] - g[0], cell[1] - g[1]))
+        return value
 
     g_score = {s: 0.0}
     came: dict[tuple[int, int], tuple[int, int]] = {}
     # heap entries: (f, heading_change, row_major, cell, arrival_move).  Cells differ in
     # row_major and a cell is pushed again only with a g (so an f) lower by more than
     # 1e-12, so (f, heading_change, row_major) never ties: the rest is never compared.
-    open_heap = [(h(s), 0, s[1] * world.nx + s[0], s, (0, 0))]
+    open_heap = [(h(s), 0, s[1] * nx + s[0], s, (0, 0))]
     closed: set[tuple[int, int]] = set()
     while open_heap:
         _, _, _, cur, arrival = heapq.heappop(open_heap)
@@ -133,21 +140,21 @@ def astar_path(world: GridWorld, start, goal, inflate: float) -> np.ndarray:
                 cells.append(came[cells[-1]])
             cells.reverse()
             return np.array([world.cell_center(ix, iy) for ix, iy in cells])
-        for mv in _MOVES:
-            nxt = (cur[0] + mv[0], cur[1] + mv[1])
-            if not (0 <= nxt[0] < world.nx and 0 <= nxt[1] < world.ny):
+        g_cur = g_score[cur]
+        for mv, step in steps:
+            x, y = cur[0] + mv[0], cur[1] + mv[1]
+            if not (0 <= x < nx and 0 <= y < ny):
                 continue
-            if blocked[nxt[1], nxt[0]] or nxt in closed:
+            row_major = y * nx + x
+            nxt = (x, y)
+            if blocked[row_major] or nxt in closed:
                 continue
-            step = res * (_SQRT2 if mv[0] and mv[1] else 1.0)
-            cand = g_score[cur] + step
-            if cand < g_score.get(nxt, np.inf) - 1e-12:
+            cand = g_cur + step
+            if cand < g_score.get(nxt, math.inf) - 1e-12:
                 g_score[nxt] = cand
                 came[nxt] = cur
                 turn = 0 if mv == arrival else 1
-                heapq.heappush(
-                    open_heap, (cand + h(nxt), turn, nxt[1] * world.nx + nxt[0], nxt, mv)
-                )
+                heapq.heappush(open_heap, (cand + h(nxt), turn, row_major, nxt, mv))
     raise NoPath(f"no path from {tuple(start)} to {tuple(goal)}")
 
 

@@ -18,7 +18,8 @@ depends on a duration, the unit coefficient and the power of tbar it
 scales with are fixed by (M, S); they are built once per (M, S) as a
 template, with each entry's flat index in the band storage of A and of
 A^T.  Assembling the system for one tbar raises the entries to their powers
-once and scatters them into both storages.  Banded LU factorizations of A
+once and scatters them into both storages, which a Workspace keeps for the
+repeated solves of one optimization run.  Banded LU factorizations of A
 and A^T, linear in M, serve all D dimensions of the forward solve and of
 the adjoint solve A^T G = dK/dC, and the same template gives dA/dtbar for
 the duration gradient.  Because the continuity orders extend to 2S-2, the
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -74,7 +75,8 @@ class TrajParams:
     durations: np.ndarray
 
     def __post_init__(self):
-        self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
+        w = np.asarray(self.waypoints, dtype=float)
+        self.waypoints = w if w.ndim == 2 else np.atleast_2d(w)
         self.durations = np.asarray(self.durations, dtype=float).ravel()
         if self.waypoints.shape[1] != self.durations.size - 1:
             raise ShapeMismatch(
@@ -131,12 +133,15 @@ class Trajectory:
 
     coefficients: np.ndarray
     durations: np.ndarray
-    start_times: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.durations = np.asarray(self.durations, dtype=float).ravel()
         self.coefficients = np.asarray(self.coefficients, dtype=float)
-        self.start_times = np.concatenate(([0.0], np.cumsum(self.durations)))
+
+    @functools.cached_property
+    def start_times(self) -> np.ndarray:
+        """Global start time of each piece, then the end time: (M+1,)."""
+        return np.concatenate(([0.0], np.cumsum(self.durations)))
 
     @property
     def n_pieces(self) -> int:
@@ -163,13 +168,18 @@ class Trajectory:
     def eval_state(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Position, velocity and acceleration at global time t, as eval(t, 0..2).
 
-        The piece is located once; each row is eval's own basis(s, k, n) @ c.
+        The piece is located and s^0..s^N raised once; each order's row is
+        basis(s, k, n)'s, entry for entry, and each takes its own row @ c.
         """
         i = self.piece_index(t)
         s = min(t - self.start_times[i], self.durations[i])
-        n = self.coefficients.shape[1]
         c = self.coefficients[i]
-        return tuple(basis(s, order, n) @ c for order in range(3))
+        n = c.shape[0]
+        powers = np.array([s])[:, None] ** np.arange(n)
+        rows = np.zeros((3, n))
+        for k in range(3):
+            rows[k, k:] = _basis_factors(n, k)[k:] * powers[0, :n - k]
+        return rows[0] @ c, rows[1] @ c, rows[2] @ c
 
     def eval_piece(self, i: int, s: np.ndarray, order: int = 0) -> np.ndarray:
         """Evaluate piece i at local times s (vectorized), shape (len(s), D)."""
@@ -185,7 +195,7 @@ class _Template(NamedTuple):
     Row r depends on the duration of piece row_piece[r] (0 if on none).
     Between the S start and the S end rows, each interior knot owns a block
     of 2S rows that ends in its left and right position-interpolation
-    constraints (see _knot_blocks).  band and band_t are the flat (column-
+    constraints (see solve_coeffs).  band and band_t are the flat (column-
     major) index of every entry in the band storage of A and of A^T; d_flat,
     d_coef = coef * pw and d_pw = pw - 1 place and scale the entries of
     dA/dtbar in the (2SM, 2S) rows that propagate_gradients reduces.
@@ -242,13 +252,43 @@ def _template(m: int, s_order: int) -> _Template:
                      rows * n + cols % n, coef * pw, pw - 1)
 
 
-def _band_storage(tp: _Template, entries: np.ndarray, transpose: bool):
-    """(ab, lower, upper): A's nonzero entries in the LAPACK band storage of A, or
-    of A^T; entry (r, c) sits at ab[lower + upper + r - c, c] (first `lower` rows: fill-in)."""
+def _band_storage(tp: _Template, transpose: bool):
+    """A zeroed LAPACK band storage of A, or of A^T, and its flat (column-major) view;
+    entry (r, c) sits at ab[lower + upper + r - c, c] (first `lower` rows: fill-in)."""
     lo, up = (tp.upper, tp.lower) if transpose else (tp.lower, tp.upper)
     ab = np.zeros((2 * lo + up + 1, tp.row_piece.size), order="F")
-    ab.ravel(order="F")[tp.band_t if transpose else tp.band] = entries
-    return ab, lo, up
+    return ab, ab.ravel(order="F")
+
+
+def _build_rhs(ends: np.ndarray, m: int, s_order: int) -> np.ndarray:
+    """A zero right-hand side for M pieces with the boundary rows `ends` at its ends."""
+    b = np.zeros((2 * s_order * m, ends.shape[1]))
+    b[:s_order] = ends[:s_order]
+    b[-s_order:] = ends[s_order:]
+    return b
+
+
+class Workspace:
+    """Arrays that every solve of one (M, S) system reuses within one run.
+
+    ab and ab_t are zeroed LAPACK band storages of A and of A^T (Fortran
+    order; the first rows hold the LU fill-in), band and band_t their flat
+    views; drows holds the (2SM, 2S) rows of dA/dtbar (flat view
+    drows_flat), whose entries outside the template's pattern stay zero;
+    rhs, given the boundary rows `ends`, is the right-hand side with them
+    written once.  Each BandedSystem built on a workspace rewrites the band
+    storages (its LUs live there), solve_coeffs rewrites the knot rows of
+    rhs and propagate_gradients the pattern of drows, so a workspace serves
+    one evaluation at a time.
+    """
+
+    def __init__(self, m: int, s_order: int, ends: np.ndarray | None = None):
+        self.template = tp = _template(m, s_order)
+        self.ab, self.band = _band_storage(tp, False)
+        self.ab_t, self.band_t = _band_storage(tp, True)
+        self.drows = np.zeros((tp.row_piece.size, 2 * s_order))
+        self.drows_flat = self.drows.reshape(-1)
+        self.rhs = None if ends is None else _build_rhs(ends, m, s_order)
 
 
 # Banded LAPACK: linear in M, and single-threaded at these sizes.  The dense
@@ -263,29 +303,36 @@ class BandedSystem:
     Built once per (durations, s_order) and shared by the forward and the
     adjoint solve of one objective evaluation.  A^T is factored in its own
     right, not solved through the factors of A, so that each solution is
-    bitwise that of a banded solve of A or A^T.  A zero pivot or a non-finite
-    solution (non-finite durations or right-hand side) raises SingularSystem.
+    bitwise that of a banded solve of A or A^T.  Given `work`, the factors
+    live in its band storages and durations must be an (M,) float array;
+    without, in a fresh Workspace.  A zero pivot or a non-finite solution
+    (non-finite durations or right-hand side) raises SingularSystem.
     """
 
-    def __init__(self, durations: np.ndarray, s_order: int):
-        self.durations = np.asarray(durations, dtype=float).ravel()
-        self.s_order = s_order
-        self.template = tp = _template(self.durations.size, s_order)
-        entries = tp.coef * self.durations[tp.piece] ** tp.pw  # raised once, for A and A^T
-        self._factors = [self._factor(*_band_storage(tp, entries, t)) for t in (False, True)]
-
-    @staticmethod
-    def _factor(ab, lower, upper):
-        lu, piv, info = _GBTRF(ab, lower, upper, overwrite_ab=True)
+    def __init__(self, durations: np.ndarray, s_order: int, work: Workspace | None = None):
+        if work is None:
+            durations = np.asarray(durations, dtype=float).ravel()
+            work = Workspace(durations.size, s_order)
+        self.durations, self.s_order, self.work = durations, s_order, work
+        self.template = tp = work.template
+        entries = tp.coef * durations[tp.piece] ** tp.pw  # raised once, for A and A^T
+        work.band[:] = 0.0
+        work.band[tp.band] = entries
+        lu, piv, info = _GBTRF(work.ab, tp.lower, tp.upper, overwrite_ab=True)
         if info != 0:
             raise SingularSystem(f"zero pivot in column {info} of the coefficient system")
-        return lu, lower, upper, piv
+        work.band_t[:] = 0.0
+        work.band_t[tp.band_t] = entries
+        lu_t, piv_t, info = _GBTRF(work.ab_t, tp.upper, tp.lower, overwrite_ab=True)
+        if info != 0:
+            raise SingularSystem(f"zero pivot in column {info} of the coefficient system")
+        self._factors = ((lu, tp.lower, tp.upper, piv), (lu_t, tp.upper, tp.lower, piv_t))
 
     def solve(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
         """Solve A x = rhs, or A^T x = rhs with `transpose`."""
         lu, lower, upper, piv = self._factors[transpose]
-        x, info = _GBTRS(lu, lower, upper, rhs, piv)
-        if info != 0 or not np.isfinite(x).all():
+        x, info = _GBTRS(lu, lower, upper, rhs, piv)  # copies rhs (overwrite_b is 0)
+        if info != 0 or np.count_nonzero(np.isfinite(x)) != x.size:
             raise SingularSystem("coefficient system has no finite solution")
         return x
 
@@ -293,22 +340,6 @@ class BandedSystem:
 def boundary_rows(init: BoundaryState, target: BoundaryState, s_order: int) -> np.ndarray:
     """The right-hand side's boundary rows: derivatives 0..S-1 at the start, then at the end."""
     return np.array([state.derivative(k) for state in (init, target) for k in range(s_order)])
-
-
-def _knot_blocks(rows: np.ndarray, s_order: int) -> np.ndarray:
-    """The (M-1, 2S, D) view of the rows of the interior knots' constraints; in
-    each block the last two rows interpolate the knot's waypoint from the left
-    and from the right."""
-    n = 2 * s_order
-    return rows[s_order:len(rows) - s_order].reshape(-1, n, rows.shape[1])
-
-
-def _build_rhs(ends: np.ndarray, params: TrajParams, s_order: int):
-    b = np.zeros((2 * s_order * params.n_pieces, ends.shape[1]))
-    b[:s_order] = ends[:s_order]
-    b[-s_order:] = ends[s_order:]
-    _knot_blocks(b, s_order)[:, -2:] = params.waypoints.T[:, None]
-    return b
 
 
 def solve_coeffs(
@@ -323,17 +354,28 @@ def solve_coeffs(
 
     Solves the boundary-intermediate value problem once per call; all D
     dimensions share the factorization (same A, stacked rhs).  `ends` is
-    boundary_rows(init, target, s_order), for a caller that solves many
-    times between the same boundary states.
+    boundary_rows(init, target, s_order), or a whole right-hand side with
+    those rows at its ends (Workspace.rhs), whose knot rows are overwritten:
+    for a caller that solves many times between the same boundary states.
     """
-    if (params.durations <= 0.0).any():
-        raise NonPositiveDuration(f"durations must be positive, got {params.durations}")
+    t = params.durations
+    if np.count_nonzero(t <= 0.0):
+        raise NonPositiveDuration(f"durations must be positive, got {t}")
     if system is None:
-        system = BandedSystem(params.durations, s_order)
+        system = BandedSystem(t, s_order)
     if ends is None:
         ends = boundary_rows(init, target, s_order)
-    coeffs = system.solve(_build_rhs(ends, params, s_order))
-    return Trajectory(coeffs.reshape(params.n_pieces, 2 * s_order, -1), params.durations.copy())
+    m, n = t.shape[0], 2 * s_order
+    rows = n * m
+    # a whole right-hand side as it is (for M = 1, the boundary rows are one)
+    b = ends if ends.shape[0] == rows else _build_rhs(ends, m, s_order)
+    # each interior knot's block of 2S rows ends in its left and right
+    # position-interpolation rows, which both hold the knot's waypoint
+    q = params.waypoints.T
+    b[s_order + n - 2:rows - s_order:n] = q
+    b[s_order + n - 1:rows - s_order:n] = q
+    coeffs = system.solve(b)
+    return Trajectory(coeffs.reshape(m, n, -1), t.copy())
 
 
 def propagate_gradients(
@@ -344,12 +386,12 @@ def propagate_gradients(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull objective gradients from (C, tbar)-space back to (Q, tbar)-space.
 
-    dk_dc is an (M, N+1, D) array or a list of M (N+1, D) arrays; system is
-    the BandedSystem traj was solved with.  Solves the adjoint system
-    A^T G = dK/dC; the waypoint gradient collects the G
-    rows of the two position-interpolation constraints at each knot, and
-    the duration gradient subtracts G^T (dA/dtbar_i) C, whose entries are
-    the template's coef * pw * tbar_i^(pw-1).
+    dk_dc is an (M, N+1, D) array or a list of M (N+1, D) arrays, dk_dt an
+    (M,) array; system is the BandedSystem traj was solved with.  Solves the
+    adjoint system A^T G = dK/dC; the waypoint gradient collects the G rows
+    of the two position-interpolation constraints at each knot, and the
+    duration gradient subtracts G^T (dA/dtbar_i) C, whose entries are the
+    template's coef * pw * tbar_i^(pw-1).
 
     Returns (dH_dQ (D, M-1), dH_dtbar (M,)).
     """
@@ -357,20 +399,18 @@ def propagate_gradients(
     dk_dc = np.asarray(dk_dc, dtype=float)
     if n != 2 * system.s_order or dk_dc.shape != (m, n, d):
         raise ShapeMismatch("dk_dc must match the trajectory's coefficient shapes")
-    dk_dt = np.asarray(dk_dt, dtype=float).ravel()
-    if dk_dt.size != m:
-        raise ShapeMismatch(f"dk_dt has {dk_dt.size} entries, expected {m}")
+    if dk_dt.shape != (m,):
+        raise ShapeMismatch(f"dk_dt has shape {dk_dt.shape}, expected ({m},)")
 
     g = system.solve(dk_dc.reshape(m * n, d), transpose=True)
-    tp = system.template
-    knots = _knot_blocks(g, system.s_order)
-    dh_dq = (knots[:, -2] + knots[:, -1]).T
+    tp, s_order, rows = system.template, system.s_order, m * n
+    dh_dq = (g[s_order + n - 2:rows - s_order:n] + g[s_order + n - 1:rows - s_order:n]).T
 
     # row r of dA/dtbar_i C is the next-order basis row at tbar_i times C_i;
     # the rows are reduced in ascending order, one dot product each
-    drows = np.zeros((m * n, n))
-    drows.ravel()[tp.d_flat] = tp.d_coef * system.durations[tp.piece] ** tp.d_pw
-    dvec = drows[:, None, :] @ traj.coefficients[tp.row_piece]  # (2SM, 1, D)
+    work = system.work
+    work.drows_flat[tp.d_flat] = tp.d_coef * system.durations[tp.piece] ** tp.d_pw
+    dvec = work.drows[:, None, :] @ traj.coefficients[tp.row_piece]  # (2SM, 1, D)
     dh_dt = dk_dt.copy()
     np.subtract.at(dh_dt, tp.row_piece, (dvec @ g[:, :, None])[:, 0, 0])
     return dh_dq, dh_dt

@@ -16,20 +16,30 @@ Each evaluation does each piece of work once, at three lifetimes:
     orders 0..3 and their duration exponents (the sample times are fixed
     fractions of each piece, so a basis row is a unit row times powers of
     the duration), the trapezoid weights and fractions, and the effort
-    term's factor and exponent tables; minco caches the constraint matrix's
-    structure per (M, S) the same way;
+    term's factor and exponent tables; per (v_max, a_max) the feasibility
+    limits; minco caches the constraint matrix's structure per (M, S) the
+    same way;
   * per plan, in ObjectiveSetup: the boundary rows of the coefficient
-    system's right-hand side;
+    system's right-hand side and the duration map's clip bounds, and per
+    piece count M one minco.Workspace: the band storages that the LU
+    factors overwrite, the dA/dtbar rows and a right-hand side whose
+    boundary rows are written once;
   * per evaluation: the durations, one BandedSystem (A's entries raised to
-    their powers once, for A and A^T), one solve, and one Samples: the
-    (4, M, kappa+1, N+1) sample basis of all orders and pieces and its one
-    product with the (M, N+1, D) coefficients, which the obstacle and the
-    feasibility terms both read.
+    their powers once, for A and A^T, and factored in the workspace), one
+    solve, which writes only the knot rows of the right-hand side, and one
+    Samples: the (4, M, kappa+1, N+1) sample basis of all orders and pieces
+    and its one product with the (M, N+1, D) coefficients, which the
+    obstacle and the feasibility terms both read.
 
-Every term works on all pieces at once and returns dK/dC as one (M, N+1, D)
-array.  Every floating-point operation keeps the operands, the order and
-the numpy/BLAS call shape of the per-term code it replaced, so the results
-are bitwise those of that code (tests/test_bitwise_objective.py).
+total_objective calls each stage once, through its module-level name
+(BandedSystem, minco.solve_coeffs, control_effort, sample_trajectory,
+obstacle_cost, feasibility_cost, minco.propagate_gradients), so a caller
+can time every layer; the stages take the arrays that plan() built as they
+are, without converting them again.  Every term works on all pieces at once
+and returns dK/dC as one (M, N+1, D) array.  Every floating-point operation
+keeps the operands, the order and the numpy/BLAS call shape of the per-term
+code it replaced, so the results are bitwise those of that code
+(tests/test_bitwise_objective.py).
 """
 
 from __future__ import annotations
@@ -92,29 +102,35 @@ class TimeTransform:
         return self.t_max - self.t_min
 
 
+def _duration_bounds(tf: TimeTransform) -> tuple[float, float, float, float]:
+    """(t_min, span, lo, hi): lo and hi are the nearest floats strictly inside the bounds."""
+    lo, hi = math.nextafter(tf.t_min, math.inf), math.nextafter(tf.t_max, -math.inf)
+    return tf.t_min, tf.span, lo, hi
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
-    x = np.asarray(x, dtype=float)
+    """Overflow-safe logistic of a float array: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
     ex = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
-def _duration_map(tau: np.ndarray, tf: TimeTransform):
-    """Durations in (t_min, t_max) for tau and dtbar/dtau, from one sigmoid.
+def _duration_map(tau: np.ndarray, bounds: tuple[float, float, float, float]):
+    """Durations in (t_min, t_max) for the float array tau, and dtbar/dtau, from one sigmoid.
 
     A saturated sigmoid (|tau| beyond about 37) rounds the duration onto a
     bound, so the durations are clipped to the nearest floats strictly
-    inside; every unsaturated value passes through unchanged.
+    inside; every unsaturated value passes through unchanged.  `bounds` is
+    _duration_bounds(tf).
     """
+    t_min, span, lo, hi = bounds
     sig = _sigmoid(tau)
-    scaled = tf.span * sig
-    lo, hi = math.nextafter(tf.t_min, math.inf), math.nextafter(tf.t_max, -math.inf)
-    return np.minimum(np.maximum(scaled + tf.t_min, lo), hi), scaled * (1.0 - sig)
+    scaled = span * sig
+    return np.minimum(np.maximum(scaled + t_min, lo), hi), scaled * (1.0 - sig)
 
 
 def tau_to_time(tau: np.ndarray, tf: TimeTransform) -> np.ndarray:
     """Map unconstrained tau to durations in (t_min, t_max)."""
-    return _duration_map(tau, tf)[0]
+    return _duration_map(np.asarray(tau, dtype=float), _duration_bounds(tf))[0]
 
 
 def time_to_tau(tbar: np.ndarray, tf: TimeTransform) -> np.ndarray:
@@ -181,22 +197,6 @@ def sample_trajectory(traj: Trajectory, kappa: int) -> Samples:
     return Samples(basis, basis @ traj.coefficients)
 
 
-def _dot_last(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, one BLAS dot per piece through matmul.
-
-    These are the very calls a per-piece loop makes, so no result bit changes.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _sum_in_order(values: np.ndarray) -> float:
-    """Sum from 0 left to right, as Python's sum over the array's elements."""
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total
-
-
 def control_effort(traj: Trajectory, s_order: int):
     """Closed-form integral of the squared S-th derivative over all pieces.
 
@@ -209,16 +209,25 @@ def control_effort(traj: Trajectory, s_order: int):
     dk_dc = np.zeros(c.shape)
     np.multiply(fac2, p @ u, out=dk_dc[:, s_order:])
     end_deriv = ((t[:, None] ** a_idx)[:, None, :] @ u)[:, 0]
-    # one einsum per piece: a batched einsum may iterate the terms in another
-    # order, and the cost would no longer be bitwise that of a per-piece sum
-    cost = sum(np.einsum("ad,ab,bd->", u[i], p[i], u[i]) for i in range(len(c)))
-    return float(cost), dk_dc, _dot_last(end_deriv, end_deriv)
+    # one einsum per piece, summed from 0 in piece order: a batched einsum may
+    # iterate the terms in another order, and the cost would change its bits
+    cost = 0.0
+    for i in range(c.shape[0]):
+        cost += np.einsum("ad,ab,bd->", u[i], p[i], u[i])
+    return float(cost), dk_dc, (end_deriv[:, None, :] @ end_deriv[:, :, None])[:, 0, 0]
 
 
 def time_cost(tbar: np.ndarray):
-    """Total trajectory time and its gradient (all ones)."""
-    tbar = np.asarray(tbar, dtype=float)
-    return float(tbar.sum()), np.ones(tbar.shape)
+    """Total time of the float array tbar, and its gradient: 1.0 for every piece."""
+    return float(np.add.reduce(tbar)), 1.0
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Sum from 0 left to right, as Python's sum over the array's elements."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
 
 
 def _sampled_penalty(traj: Trajectory, kappa: int, pen, dpen_dc, dpen_ds):
@@ -226,12 +235,13 @@ def _sampled_penalty(traj: Trajectory, kappa: int, pen, dpen_dc, dpen_ds):
 
     dpen_dc (M, N+1, D) is the weighted sum of dpen/dC over each piece's
     samples, dpen_ds (M, kappa+1) each penalty's derivative along piece-local
-    time; sample k sits at s = tbar_i * k/kappa.  Returns (cost, dK_dC, dK_dt).
+    time; sample k sits at s = tbar_i * k/kappa.  The weighted sums over the
+    samples are one BLAS dot per piece.  Returns (cost, dK_dC, dK_dt).
     """
     w, _, frac = _trapezoid(kappa)
     scale = traj.durations / kappa
-    w_pen = _dot_last(w, pen)
-    dk_dt = (1.0 / kappa) * w_pen + scale * _dot_last(w, dpen_ds * frac)
+    w_pen = (w[None, :] @ pen[:, :, None])[:, 0, 0]
+    dk_dt = (1.0 / kappa) * w_pen + scale * (w[None, :] @ (dpen_ds * frac)[:, :, None])[:, 0, 0]
     return _sum_in_order(scale * w_pen), scale[:, None, None] * dpen_dc, dk_dt
 
 
@@ -249,13 +259,19 @@ def obstacle_cost(traj: Trajectory, world, cfg: PenaltyConfig, samples: Samples)
     m, _, d = c.shape
     dist, dgrad = world.query_distance(samples.values[0].reshape(-1, d))
     gap = np.maximum(cfg.d_safe - dist, 0.0).reshape(m, kappa + 1)
-    if not gap.any():
+    if not np.count_nonzero(gap):
         return 0.0, np.zeros(c.shape), np.zeros(m)
     w = _trapezoid(kappa)[1]
     dpen_dpos = (-3.0 * gap**2)[..., None] * dgrad.reshape(m, kappa + 1, d)
     dpen_dc = samples.basis[0].transpose(0, 2, 1) @ (w * dpen_dpos)
-    dpen_ds = (dpen_dpos * samples.values[1]).sum(axis=2)
+    dpen_ds = np.add.reduce(dpen_dpos * samples.values[1], axis=2)
     return _sampled_penalty(traj, kappa, gap**3, dpen_dc, dpen_ds)
+
+
+@functools.lru_cache(maxsize=None)
+def _squared_limits(v_max: float, a_max: float) -> np.ndarray:
+    """v_max^2 and a_max^2 as a (2, 1, 1) column against the velocity and acceleration samples."""
+    return _frozen(np.array([v_max**2, a_max**2])[:, None, None])[0]
 
 
 def feasibility_cost(traj: Trajectory, cfg: PenaltyConfig, samples: Samples):
@@ -268,15 +284,14 @@ def feasibility_cost(traj: Trajectory, cfg: PenaltyConfig, samples: Samples):
     c = traj.coefficients
     # velocity and acceleration stacked on axis 0 through every step
     va = samples.values[1:3]
-    limits = np.array([cfg.v_max**2, cfg.a_max**2])[:, None, None]
-    excess = np.maximum((va**2).sum(axis=3) - limits, 0.0)
-    if not excess.any():
-        return 0.0, np.zeros(c.shape), np.zeros(len(c))
+    excess = np.maximum(np.add.reduce(va**2, axis=3) - _squared_limits(cfg.v_max, cfg.a_max), 0.0)
+    if not np.count_nonzero(excess):
+        return 0.0, np.zeros(c.shape), np.zeros(c.shape[0])
     w = _trapezoid(kappa)[1]
     grow = 6.0 * excess**2
     dpen_dc = samples.basis[1:3].transpose(0, 1, 3, 2) @ (w * grow[..., None] * va)
     # sample-time dependence: d|v|^2/ds = 2 v.a, d|a|^2/ds = 2 a.jerk
-    dpen_ds = grow * (va * samples.values[2:4]).sum(axis=3)
+    dpen_ds = grow * np.add.reduce(va * samples.values[2:4], axis=3)
     pen = excess**3
     return _sampled_penalty(traj, kappa, pen[0] + pen[1], dpen_dc[0] + dpen_dc[1],
                             dpen_ds[0] + dpen_ds[1])
@@ -286,8 +301,11 @@ def feasibility_cost(traj: Trajectory, cfg: PenaltyConfig, samples: Samples):
 class ObjectiveSetup:
     """Everything fixed during one optimization run.
 
-    `ends`, the boundary rows of the coefficient system's right-hand side,
-    is built from init and target once, for every evaluation of the run.
+    Built once per plan: `ends`, the boundary rows of the coefficient
+    system's right-hand side, `bounds`, the duration map's clip bounds, and
+    `work`, one minco.Workspace per piece count M that an evaluation has
+    used (filled on first use).  The workspaces make a setup serve one
+    evaluation at a time.
     """
 
     init: BoundaryState
@@ -298,53 +316,64 @@ class ObjectiveSetup:
     transform: TimeTransform
     s_order: int
     ends: np.ndarray = field(init=False, repr=False)
+    bounds: tuple = field(init=False, repr=False)
+    work: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.ends = minco.boundary_rows(self.init, self.target, self.s_order)
+        self.bounds = _duration_bounds(self.transform)
+        self.work = {}
+
+
+def _add_term(cost: float, dk_dc, dk_dt, weight: float, term) -> float:
+    """Add weight * the term's gradients into dk_dc and dk_dt; return cost + weight * its cost."""
+    term_cost, term_dc, term_dt = term
+    if weight != 1.0:  # a unit weight changes no bit
+        term_dc, term_dt = weight * term_dc, weight * term_dt
+    dk_dc += term_dc
+    dk_dt += term_dt
+    return cost + weight * term_cost
 
 
 def total_objective(q: np.ndarray, tau: np.ndarray, setup: ObjectiveSetup):
     """Full objective H(Q, tau) with gradients.
 
-    Maps tau to durations, solves the coefficient system, sums the weighted
-    terms, propagates gradients back to (Q, tbar) and applies the tau chain
-    rule.  The obstacle and feasibility terms share one Samples.  Pure:
-    identical inputs give identical outputs.
+    q is a (D, M-1) and tau an (M,) float array.  Maps tau to durations,
+    solves the coefficient system, sums the weighted terms from 0 (effort,
+    time, obstacle, feasibility), propagates gradients back to (Q, tbar) and
+    applies the tau chain rule.  The obstacle and feasibility terms share
+    one Samples.  Pure: identical inputs give identical outputs.
 
     Returns (H, dH_dQ, dH_dtau).
     """
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    tau = np.asarray(tau, dtype=float).ravel()
-    w, pen = setup.weights, setup.penalty
-    tbar, dtbar_dtau = _duration_map(tau, setup.transform)
-    params = TrajParams(q, tbar)
-    system = BandedSystem(tbar, setup.s_order)
-    traj = minco.solve_coeffs(setup.init, setup.target, params, setup.s_order, system, setup.ends)
-
-    terms = []  # (weight, (cost, dK_dC or None, dK_dt)) in the order they are summed
-    if w.effort != 0.0:
-        terms.append((w.effort, control_effort(traj, setup.s_order)))
-    if w.time != 0.0:
-        tc, tg = time_cost(tbar)
-        terms.append((w.time, (tc, None, tg)))
-    if w.obstacle != 0.0 or w.feasibility != 0.0:
-        samples = sample_trajectory(traj, pen.kappa)
-        if w.obstacle != 0.0:
-            terms.append((w.obstacle, obstacle_cost(traj, setup.world, pen, samples)))
-        if w.feasibility != 0.0:
-            terms.append((w.feasibility, feasibility_cost(traj, pen, samples)))
+    m = tau.shape[0]
+    try:
+        work = setup.work[m]
+    except KeyError:
+        work = setup.work[m] = minco.Workspace(m, setup.s_order, setup.ends)
+    w, pen, s_order = setup.weights, setup.penalty, setup.s_order
+    tbar, dtbar_dtau = _duration_map(tau, setup.bounds)
+    system = BandedSystem(tbar, s_order, work)
+    traj = minco.solve_coeffs(setup.init, setup.target, TrajParams(q, tbar), s_order, system,
+                              work.rhs)
 
     cost = 0.0
     dk_dc = np.zeros(traj.coefficients.shape)
-    dk_dt = np.zeros(traj.n_pieces)
-    for weight, (term_cost, term_dc, term_dt) in terms:
-        cost += weight * term_cost
-        if weight != 1.0:  # a unit weight changes no bit
-            term_dt = weight * term_dt
-            term_dc = None if term_dc is None else weight * term_dc
-        if term_dc is not None:
-            dk_dc += term_dc
-        dk_dt += term_dt
+    dk_dt = np.zeros(m)
+    if w.effort != 0.0:
+        cost = _add_term(cost, dk_dc, dk_dt, w.effort, control_effort(traj, s_order))
+    if w.time != 0.0:
+        total_time, d_time = time_cost(tbar)
+        cost += w.time * total_time
+        dk_dt += w.time * d_time
+    if w.obstacle != 0.0 or w.feasibility != 0.0:
+        samples = sample_trajectory(traj, pen.kappa)
+        if w.obstacle != 0.0:
+            cost = _add_term(cost, dk_dc, dk_dt, w.obstacle,
+                             obstacle_cost(traj, setup.world, pen, samples))
+        if w.feasibility != 0.0:
+            cost = _add_term(cost, dk_dc, dk_dt, w.feasibility,
+                             feasibility_cost(traj, pen, samples))
 
     dh_dq, dh_dt = minco.propagate_gradients(traj, dk_dc, dk_dt, system)
     return cost, dh_dq, dh_dt * dtbar_dtau

@@ -259,10 +259,12 @@ class GridWorld:
         points: (K, 2).  Out-of-bounds points return distance 0 (maximum
         penalty) with zero gradient.  Returns (dist (K,), grad (K, 2)).
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            points = np.atleast_2d(points)
         rows = points.T.copy()  # x and y as contiguous rows
         lk = self._lookup
-        if (rows >= lk.lo).all() and (rows <= lk.hi).all():
+        if np.count_nonzero((rows >= lk.lo) & (rows <= lk.hi)) == rows.size:
             return self._bilinear(rows)  # every point in bounds: nothing to mask
         k = points.shape[0]
         dist = np.zeros(k)
@@ -275,21 +277,26 @@ class GridWorld:
     def _bilinear(self, rows: np.ndarray):
         """Interpolated distance and its gradient (K, 2) at in-bounds points (rows x, y).
 
-        Both axes go through each elementwise step together; the arithmetic
-        per coordinate is distance_at's, operation for operation.
+        Both axes go through each elementwise step together, and the four
+        corner terms through each product; the arithmetic per coordinate is
+        distance_at's, operation for operation.
         """
         lk = self._lookup
         # continuous cell-center coordinates, the lower corner cell, the fraction
         g = (rows - lk.origin) / self.resolution - 0.5
         ij = np.minimum(np.maximum(g, 0.0).astype(int), lk.cell_max)
-        f = np.minimum(np.maximum(g - ij, 0.0), 1.0)
-        e = 1 - f
-        fx, fy = f
-        ex, ey = e
-        # the corners 00, 10, 01, 11, gathered by flat index from the C-ordered field
-        v00, v10, v01, v11 = v = lk.flat[ij[1] * self.nx + ij[0] + lk.corners]
-        d = v00 * ex * ey + v10 * fx * ey + v01 * ex * fy + v11 * fx * fy
+        # w[1] = (fx, fy), w[0] = 1 - w[1]: w[:, 0] weighs the corners along x, w[:, 1] along y
+        w = np.empty((2,) + rows.shape)
+        np.minimum(np.maximum(g - ij, 0.0), 1.0, out=w[1])
+        np.subtract(1, w[1], out=w[0])
+        e, f = w
+        # the corners 00, 10, 01, 11, gathered by flat index from the C-ordered field;
+        # as v.reshape(2, 2, K), corner (i, j) sits at [j, i]
+        v = lk.flat[ij[1] * self.nx + ij[0] + lk.corners]
+        p = v.reshape(2, 2, -1) * w[:, 0] * w[:, 1, None]  # v_ij * wx_i * wy_j
+        d = p[0, 0] + p[0, 1] + p[1, 0] + p[1, 1]
         # rows x, y: (v10 - v00) * ey + (v11 - v01) * fy and (v01 - v00) * ex + (v11 - v10) * fx
+        v00, v11 = v[0], v[3]
         grad = np.empty((rows.shape[1], 2))
         np.divide((v[1:3] - v00) * e[::-1] + (v11 - v[2:0:-1]) * f[::-1], self.resolution,
                   out=grad.T)

@@ -413,12 +413,56 @@ def test_total_objective_equals_reference_bitwise_all_out_of_bounds(data):
 def test_saturated_and_zero_tau_equal_reference_bitwise(tau):
     for m in (1, 3):
         taus = np.full(m, tau)
-        for got, ref in zip(objective._duration_map(taus, RC.transform),
+        bounds = objective._duration_bounds(RC.transform)
+        for got, ref in zip(objective._duration_map(taus, bounds),
                             reference_duration_map(taus, RC.transform)):
             assert same_bits(got, ref)
         init, target = BoundaryState([0.0, 0.0], [0.5, 0.0]), BoundaryState([6.0, 0.3], [1.0, 0.0])
         q = np.linspace(init.position, target.position, m + 1)[1:-1].T
         assert_objective_bitwise(q, taus, setup_for(WORLDS["pole"], init, target))
+
+
+def test_one_setup_evaluates_as_fresh_setups_bitwise():
+    # an ObjectiveSetup keeps workspaces from one evaluation to the next; no state
+    # may pass through them: after other points, after an evaluation that raised
+    # and for other piece counts, each result is a fresh setup's, bit for bit
+    world = WORLDS["pole"]
+    init = BoundaryState([0.0, 0.0], [0.5, 0.0], [0.2, -0.1])
+    target = BoundaryState([6.0, 0.3], [1.0, 0.0])
+    shared = setup_for(world, init, target)
+
+    def point(m, bulge, tau):
+        line = np.linspace(init.position, target.position, m + 1)[1:-1].T
+        return line + bulge * np.sin(np.pi * np.arange(1, m) / m), np.full(m, tau)
+
+    def check(q, tau):
+        got = objective.total_objective(q, tau, shared)
+        ref = objective.total_objective(q, tau, setup_for(world, init, target))
+        assert type(got[0]) is float and same_bits(got[0], ref[0])
+        assert same_bits(got[1], ref[1]) and same_bits(got[2], ref[2])
+
+    x1 = point(3, 0.0, 0.4)  # through the pole: the obstacle term is active
+    x2 = point(3, 2.5, -3.0)  # a wide bulge in short pieces: the feasibility term is active
+    for (q, tau), term in ((x1, "obstacle"), (x2, "feasibility")):
+        traj = minco.solve_coeffs(init, target, TrajParams(q, objective.tau_to_time(
+            tau, RC.transform)), RC.s_order)
+        samples = objective.sample_trajectory(traj, RC.penalty.kappa)
+        cost = (objective.obstacle_cost(traj, world, RC.penalty, samples) if term == "obstacle"
+                else objective.feasibility_cost(traj, RC.penalty, samples))[0]
+        assert cost > 0.0, term
+    for q, tau in (x1, x2, x1):
+        check(q, tau)
+    inf_knot = x1[0].copy()
+    inf_knot[0, 1] = np.inf
+    nan_tau = x1[1].copy()
+    nan_tau[1] = np.nan
+    for q, tau in ((inf_knot, x1[1]), (x1[0], nan_tau)):
+        with pytest.raises(SingularSystem):
+            objective.total_objective(q, tau, shared)
+        check(*x1)
+    for m in (2, 4, 1, 3):
+        check(*point(m, 0.8, 0.2))
+    check(*x1)
 
 
 def assert_terms_bitwise(traj, world, cfg=PenaltyConfig()):

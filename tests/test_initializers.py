@@ -78,6 +78,82 @@ def test_astar_no_path():
         astar_path(world, (0.0, 0.0), (30.0, 0.0), INFLATE)
 
 
+def reference_astar_path(world, start, goal, inflate):
+    """astar_path as first written: numpy element reads per neighbour, the heuristic
+    computed on every push, and the step added as numpy floats."""
+    import heapq
+
+    res = world.resolution
+    blocked = world.field < inflate
+    s = world.cell_index(start)
+    g = world.cell_index(goal)
+    if blocked[s[1], s[0]] or blocked[g[1], g[0]]:
+        raise NoPath("start or goal cell blocked after inflation")
+
+    def h(cell):
+        return res * np.hypot(cell[0] - g[0], cell[1] - g[1])
+
+    moves = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+    g_score = {s: 0.0}
+    came = {}
+    open_heap = [(h(s), 0, s[1] * world.nx + s[0], s, (0, 0))]
+    closed = set()
+    while open_heap:
+        _, _, _, cur, arrival = heapq.heappop(open_heap)
+        if cur in closed:
+            continue
+        closed.add(cur)
+        if cur == g:
+            cells = [cur]
+            while cells[-1] in came:
+                cells.append(came[cells[-1]])
+            cells.reverse()
+            return np.array([world.cell_center(ix, iy) for ix, iy in cells])
+        for mv in moves:
+            nxt = (cur[0] + mv[0], cur[1] + mv[1])
+            if not (0 <= nxt[0] < world.nx and 0 <= nxt[1] < world.ny):
+                continue
+            if blocked[nxt[1], nxt[0]] or nxt in closed:
+                continue
+            step = res * (np.sqrt(2.0) if mv[0] and mv[1] else 1.0)
+            cand = g_score[cur] + step
+            if cand < g_score.get(nxt, np.inf) - 1e-12:
+                g_score[nxt] = cand
+                came[nxt] = cur
+                turn = 0 if mv == arrival else 1
+                heapq.heappush(
+                    open_heap, (cand + h(nxt), turn, nxt[1] * world.nx + nxt[0], nxt, mv)
+                )
+    raise NoPath(f"no path from {tuple(start)} to {tuple(goal)}")
+
+
+def test_astar_equals_reference_on_every_plan_set_geo_decision():
+    doc = json.loads(PLAN_SET.read_text())
+    worlds = [GridWorld(SceneSpec.from_dict(w), RC.resolution) for w in doc["worlds"]]
+    for p in doc["problems"]:  # the endpoints geo_init searches between
+        world = worlds[p["world"]]
+        start = BoundaryState(p["init"]["p"], p["init"]["v"], p["init"]["a"]).position
+        goal = BoundaryState(p["target"]["p"], p["target"]["v"]).position
+        got, ref = astar_path(world, start, goal, INFLATE), reference_astar_path(
+            world, start, goal, INFLATE)
+        assert _same_bytes(got, ref)
+
+
+@pytest.mark.parametrize("start, goal", [
+    ((0.0, 0.0), (30.0, 0.0)),  # the wall separates them
+    ((5.0, 0.1), (30.0, 0.0)),  # start inside the wall
+    ((0.0, 0.0), (5.0, -0.2)),  # goal inside the wall
+])
+def test_astar_no_path_as_reference(start, goal):
+    wall = [(5.0, y, 1.0) for y in np.arange(-5.5, 6.0, 0.9)]
+    world = GridWorld(SceneSpec(obstacles=wall), RC.resolution)
+    with pytest.raises(NoPath) as got:
+        astar_path(world, start, goal, INFLATE)
+    with pytest.raises(NoPath) as ref:
+        reference_astar_path(world, start, goal, INFLATE)
+    assert str(got.value) == str(ref.value)
+
+
 def test_astar_detour_longer_than_straight():
     world = GridWorld(SceneSpec(obstacles=[(5.0, 0.0, 1.5)]), RC.resolution)
     path = astar_path(world, (0.0, 0.0), (10.0, 0.0), INFLATE)

@@ -332,7 +332,9 @@ def test_template_matches_reference_assembly(rng, m):
         a_ref, deps = reference_system(tb)
         tp = _template(m, RC.s_order)
         entries = tp.coef * tb[tp.piece] ** tp.pw
-        ab, lower, upper = _band_storage(tp, entries, False)
+        ab, band = _band_storage(tp, False)
+        band[tp.band] = entries  # BandedSystem's scatter, before the factorization
+        lower, upper = tp.lower, tp.upper
         assert np.array_equal(ab[lower:], to_band(a_ref, lower, upper))
 
         c_ref = scipy.linalg.solve_banded(
@@ -342,8 +344,9 @@ def test_template_matches_reference_assembly(rng, m):
 
         dk_dc = rng.normal(size=(m, 6, 2))
         dk_dt = rng.normal(size=m)
-        abt, lower_t, upper_t = _band_storage(tp, entries, True)
-        assert (lower_t, upper_t) == (upper, lower)
+        abt, band_t = _band_storage(tp, True)
+        band_t[tp.band_t] = entries
+        assert abt.shape == (2 * upper + lower + 1, 6 * m)
         assert np.array_equal(abt[upper:], to_band(a_ref.T, upper, lower))
         g = scipy.linalg.solve_banded(
             (upper, lower), to_band(a_ref.T, upper, lower), dk_dc.reshape(6 * m, 2))

@@ -13,6 +13,7 @@ from neotraj.objective import (
     ObjectiveSetup,
     PenaltyConfig,
     TimeTransform,
+    _duration_bounds,
     _duration_map,
     control_effort,
     feasibility_cost,
@@ -143,7 +144,8 @@ def test_duration_map_derivative_matches_fd():
     for tau in (-2.0, 0.0, 1.3):
         h = 1e-6
         fd = (tau_to_time(tau + h, tf) - tau_to_time(tau - h, tf)) / (2 * h)
-        assert _duration_map(np.array([tau]), tf)[1][0] == pytest.approx(float(fd), rel=1e-8)
+        dtbar = _duration_map(np.array([tau]), _duration_bounds(tf))[1][0]
+        assert dtbar == pytest.approx(float(fd), rel=1e-8)
 
 
 def test_total_objective_time_only(empty_world):

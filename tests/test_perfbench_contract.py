@@ -8,6 +8,7 @@ change that would break `python3 perfbench/run.py` fails here first.
 
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -93,3 +94,46 @@ def test_trace_sees_every_plan_of_an_episode_and_of_the_expert(perfbench):
     assert tracer.calls("solver.plan", "replan.episode") == report.replan_count
     assert tracer.calls("solver.plan", "initializers.expert") == 3
     assert tracer.calls("solver.plan") == report.replan_count + 3
+
+
+def test_every_evaluation_holds_each_layer_once(perfbench):
+    # the per-layer metrics divide each layer's span time by its calls, so one
+    # objective evaluation must hold every layer's span exactly once
+    _, _, tracing, workloads = perfbench
+
+    class Nesting(tracing.Tracer):
+        """The tracer, also counting the direct child spans of every span."""
+
+        def __init__(self):
+            super().__init__()
+            self.open: list[Counter] = []
+            self.held: list[tuple[str, Counter]] = []
+
+        def span(self, name, fn):
+            if self.open:
+                self.open[-1][name] += 1
+            children = Counter()
+            self.open.append(children)
+            try:
+                return super().span(name, fn)
+            finally:
+                self.open.pop()
+                self.held.append((name, children))
+
+    plan_set = workloads.PlanSet()
+    plan_set.setup()
+    tracer = Nesting()
+    tracer.install()
+    try:
+        plan_set.decide("baseline", plan_set.problems[0])
+    finally:
+        tracer.uninstall()
+    layers = Counter(dict.fromkeys(("minco.assemble", "minco.solve", "minco.adjoint",
+                                    "objective.effort", "objective.obstacle",
+                                    "objective.feasibility"), 1))
+    evals = [children for name, children in tracer.held if name == "objective.eval"]
+    assert len(evals) > 10
+    assert all(children == layers for children in evals)
+    queries = [children for name, children in tracer.held if name == "objective.obstacle"]
+    assert len(queries) == len(evals)
+    assert all(children == Counter({"world.query": 1}) for children in queries)

@@ -30,6 +30,11 @@ below drone_radius, clear) flipped:
     python tools/fingerprint.py --dump after.jsonl
     python tools/fingerprint.py --compare before.jsonl after.jsonl
 
+`--calls` counts interpreter work instead of timing it, so two commits compare
+on any host: it prints the `sys.setprofile` `call` and `c_call` events of
+plan-set's baseline decisions on problems 0-35 (solver and initializer
+included) per objective evaluation.  The count repeats exactly.
+
 perfbench is imported read-only: its set-up pins one BLAS thread for this
 process and every command it starts.  Takes 2-2.5 minutes on 2 cores; a dump
 takes about 10 s.
@@ -119,6 +124,31 @@ def decisions() -> tuple[list[tuple[str, str]], list[dict]]:
     return digests, records
 
 
+def calls() -> tuple[int, int]:
+    """(profile events, objective evaluations) of plan-set's baseline decisions on problems
+    0-35: every `call` and `c_call` event while a decision runs."""
+    ws = workloads.PlanSet()
+    ws.setup()
+    from neotraj import objective
+
+    code = objective.total_objective.__code__
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if event == "call" or event == "c_call":
+            counts[0] += 1
+            if event == "call" and frame.f_code is code:
+                counts[1] += 1
+
+    for prob in ws.problems[:36]:
+        sys.setprofile(profile)
+        try:
+            ws.decide("baseline", prob)
+        finally:
+            sys.setprofile(None)
+    return counts[0], counts[1]
+
+
 def _read_dump(path) -> dict:
     with open(path) as fh:
         return {(r["problem"], r["init"]): r for r in map(json.loads, fh)}
@@ -186,9 +216,15 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--dump", metavar="FILE", help="write the plan-set decisions to FILE")
     mode.add_argument("--compare", nargs=2, metavar=("A", "B"), help="diff two --dump files")
+    mode.add_argument("--calls", action="store_true",
+                      help="print profile events per objective evaluation")
     args = parser.parse_args(argv)
     if args.compare:
         compare(*args.compare)
+        return 0
+    if args.calls:
+        events, evals = calls()
+        print(f"calls per evaluation {events / evals:.1f} ({events} events, {evals} evaluations)")
         return 0
     digests, records = decisions()
     for label, digest in digests:
