@@ -63,6 +63,14 @@ def _scene_label(token) -> str:
     return f"scene{token}"
 
 
+def _once_each(values: list, option: str, text: str) -> list:
+    """The values of a list option, unless it names one twice (each would fly twice)."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{option} {text!r} names {value!r} twice")
+    return values
+
+
 def cmd_scene(args) -> int:
     if args.preset is not None:
         spec = generate_scene(preset=args.preset, seed=args.seed)
@@ -315,6 +323,7 @@ def cmd_bench(args) -> int:
              for s in args.inits.split(",") if s.strip()]
     if not inits:
         raise ValueError(f"--inits {args.inits!r} names no initializer")
+    _once_each(inits, "--inits", args.inits)  # neo and neural are one initializer
     scenes = [_scene_token(t) for t in args.scenes]
     os.makedirs(args.out_dir, exist_ok=True)
     results = _fly_grid(scenes, [(init, rc) for init in inits], args.runs, args.seed, args.model)
@@ -341,7 +350,8 @@ def cmd_bench(args) -> int:
 
 def cmd_latency(args) -> int:
     rc = _load_config(args)
-    foresee_values = [float(s) for s in args.foresee.split(",")]
+    foresee_values = _once_each([float(s) for s in args.foresee.split(",")], "--foresee",
+                                args.foresee)
     arms = [(args.init, replace(rc, replan=replace(rc.replan, latency=args.latency, foresee=v)))
             for v in foresee_values]
     scenes = [_scene_token(t) for t in args.scenes]

@@ -17,13 +17,16 @@ for M >= 2.  Its pattern, its constant entries and, for every entry that
 depends on a duration, the unit coefficient and the power of tbar it
 scales with are fixed by (M, S); they are built once per (M, S) as a
 template, with each entry's flat index in the band storage of A and of
-A^T.  Assembling the system for one tbar raises the entries to their powers
-once and scatters them into both storages, which a Workspace keeps for the
-repeated solves of one optimization run.  Banded LU factorizations of A
-and A^T, linear in M, serve all D dimensions of the forward solve and of
-the adjoint solve A^T G = dK/dC, and the same template gives dA/dtbar for
-the duration gradient.  Because the continuity orders extend to 2S-2, the
-unique solution is also the minimizer of the integral of the squared S-th
+A^T.  Every solve takes one path: a Workspace holds the storages of one
+(M, S) and the right-hand side with its boundary rows; a BandedSystem
+raises the entries for one tbar to their powers once, scatters them into
+both storages and factors them there (banded LU, linear in M, shared by
+all D dimensions); solve_coeffs writes the waypoints into the right-hand
+side's knot rows and solves, and propagate_gradients solves the adjoint
+system A^T G = dK/dC and takes dA/dtbar from the same template.  A caller
+that solves repeatedly keeps its workspace; a one-off solve_coeffs builds
+a fresh one.  Because the continuity orders extend to 2S-2, the unique
+solution is also the minimizer of the integral of the squared S-th
 derivative among all C^{S-1} splines through the same waypoints.
 """
 
@@ -126,17 +129,13 @@ class BoundaryState:
 class Trajectory:
     """Executable piecewise polynomial: per-piece coefficients plus durations.
 
-    coefficients: (M, N+1, D) array, or a list of M (N+1, D) arrays that is
-    stacked into one; coefficients[i, j] holds the t^j coefficient of every
-    dimension of piece i, in piece-local time.
+    coefficients: (M, N+1, D) float array; coefficients[i, j] holds the t^j
+    coefficient of every dimension of piece i, in piece-local time.
+    durations: (M,) float array.  solve_coeffs builds these.
     """
 
     coefficients: np.ndarray
     durations: np.ndarray
-
-    def __post_init__(self):
-        self.durations = np.asarray(self.durations, dtype=float).ravel()
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
 
     @functools.cached_property
     def start_times(self) -> np.ndarray:
@@ -260,35 +259,29 @@ def _band_storage(tp: _Template, transpose: bool):
     return ab, ab.ravel(order="F")
 
 
-def _build_rhs(ends: np.ndarray, m: int, s_order: int) -> np.ndarray:
-    """A zero right-hand side for M pieces with the boundary rows `ends` at its ends."""
-    b = np.zeros((2 * s_order * m, ends.shape[1]))
-    b[:s_order] = ends[:s_order]
-    b[-s_order:] = ends[s_order:]
-    return b
-
-
 class Workspace:
-    """Arrays that every solve of one (M, S) system reuses within one run.
+    """Storage of every solve of one (M, S) system between two fixed boundary states.
 
     ab and ab_t are zeroed LAPACK band storages of A and of A^T (Fortran
     order; the first rows hold the LU fill-in), band and band_t their flat
     views; drows holds the (2SM, 2S) rows of dA/dtbar (flat view
     drows_flat), whose entries outside the template's pattern stay zero;
-    rhs, given the boundary rows `ends`, is the right-hand side with them
+    rhs is the right-hand side with the boundary rows `ends` (boundary_rows)
     written once.  Each BandedSystem built on a workspace rewrites the band
     storages (its LUs live there), solve_coeffs rewrites the knot rows of
     rhs and propagate_gradients the pattern of drows, so a workspace serves
     one evaluation at a time.
     """
 
-    def __init__(self, m: int, s_order: int, ends: np.ndarray | None = None):
+    def __init__(self, m: int, s_order: int, ends: np.ndarray):
         self.template = tp = _template(m, s_order)
         self.ab, self.band = _band_storage(tp, False)
         self.ab_t, self.band_t = _band_storage(tp, True)
         self.drows = np.zeros((tp.row_piece.size, 2 * s_order))
         self.drows_flat = self.drows.reshape(-1)
-        self.rhs = None if ends is None else _build_rhs(ends, m, s_order)
+        self.rhs = np.zeros((tp.row_piece.size, ends.shape[1]))
+        self.rhs[:s_order] = ends[:s_order]
+        self.rhs[-s_order:] = ends[s_order:]
 
 
 # Banded LAPACK: linear in M, and single-threaded at these sizes.  The dense
@@ -303,16 +296,13 @@ class BandedSystem:
     Built once per (durations, s_order) and shared by the forward and the
     adjoint solve of one objective evaluation.  A^T is factored in its own
     right, not solved through the factors of A, so that each solution is
-    bitwise that of a banded solve of A or A^T.  Given `work`, the factors
-    live in its band storages and durations must be an (M,) float array;
-    without, in a fresh Workspace.  A zero pivot or a non-finite solution
-    (non-finite durations or right-hand side) raises SingularSystem.
+    bitwise that of a banded solve of A or A^T.  durations is an (M,) float
+    array, and the factors live in the band storages of `work`, a Workspace
+    of the same (M, S).  A zero pivot or a non-finite solution (non-finite
+    durations or right-hand side) raises SingularSystem.
     """
 
-    def __init__(self, durations: np.ndarray, s_order: int, work: Workspace | None = None):
-        if work is None:
-            durations = np.asarray(durations, dtype=float).ravel()
-            work = Workspace(durations.size, s_order)
+    def __init__(self, durations: np.ndarray, s_order: int, work: Workspace):
         self.durations, self.s_order, self.work = durations, s_order, work
         self.template = tp = work.template
         entries = tp.coef * durations[tp.piece] ** tp.pw  # raised once, for A and A^T
@@ -348,27 +338,23 @@ def solve_coeffs(
     params: TrajParams,
     s_order: int,
     system: BandedSystem | None = None,
-    ends: np.ndarray | None = None,
 ) -> Trajectory:
     """Map (Q, tbar) to the unique minimum-effort coefficient matrices.
 
     Solves the boundary-intermediate value problem once per call; all D
-    dimensions share the factorization (same A, stacked rhs).  `ends` is
-    boundary_rows(init, target, s_order), or a whole right-hand side with
-    those rows at its ends (Workspace.rhs), whose knot rows are overwritten:
-    for a caller that solves many times between the same boundary states.
+    dimensions share the factorization (same A, stacked rhs).  The
+    right-hand side is system.work.rhs, whose boundary rows the workspace
+    wrote from init and target; this call overwrites its knot rows with the
+    waypoints.  Without a system, one is built on a fresh workspace.
     """
     t = params.durations
     if np.count_nonzero(t <= 0.0):
         raise NonPositiveDuration(f"durations must be positive, got {t}")
-    if system is None:
-        system = BandedSystem(t, s_order)
-    if ends is None:
-        ends = boundary_rows(init, target, s_order)
     m, n = t.shape[0], 2 * s_order
-    rows = n * m
-    # a whole right-hand side as it is (for M = 1, the boundary rows are one)
-    b = ends if ends.shape[0] == rows else _build_rhs(ends, m, s_order)
+    if system is None:
+        work = Workspace(m, s_order, boundary_rows(init, target, s_order))
+        system = BandedSystem(t, s_order, work)
+    rows, b = n * m, system.work.rhs
     # each interior knot's block of 2S rows ends in its left and right
     # position-interpolation rows, which both hold the knot's waypoint
     q = params.waypoints.T
@@ -380,23 +366,22 @@ def solve_coeffs(
 
 def propagate_gradients(
     traj: Trajectory,
-    dk_dc: np.ndarray | list[np.ndarray],
+    dk_dc: np.ndarray,
     dk_dt: np.ndarray,
     system: BandedSystem,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pull objective gradients from (C, tbar)-space back to (Q, tbar)-space.
 
-    dk_dc is an (M, N+1, D) array or a list of M (N+1, D) arrays, dk_dt an
-    (M,) array; system is the BandedSystem traj was solved with.  Solves the
-    adjoint system A^T G = dK/dC; the waypoint gradient collects the G rows
-    of the two position-interpolation constraints at each knot, and the
-    duration gradient subtracts G^T (dA/dtbar_i) C, whose entries are the
-    template's coef * pw * tbar_i^(pw-1).
+    dk_dc is an (M, N+1, D) and dk_dt an (M,) float array; system is the
+    BandedSystem traj was solved with.  Solves the adjoint system
+    A^T G = dK/dC; the waypoint gradient collects the G rows of the two
+    position-interpolation constraints at each knot, and the duration
+    gradient subtracts G^T (dA/dtbar_i) C, whose entries are the template's
+    coef * pw * tbar_i^(pw-1).
 
     Returns (dH_dQ (D, M-1), dH_dtbar (M,)).
     """
     m, n, d = traj.coefficients.shape
-    dk_dc = np.asarray(dk_dc, dtype=float)
     if n != 2 * system.s_order or dk_dc.shape != (m, n, d):
         raise ShapeMismatch("dk_dc must match the trajectory's coefficient shapes")
     if dk_dt.shape != (m,):

@@ -140,6 +140,11 @@ def plan_width(m_pieces: int) -> int:
     return 2 * (m_pieces - 1) + m_pieces
 
 
+def _is_number(v) -> bool:
+    """Whether v is a JSON number: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
     return np.where(z > 0.0, z, slope * z)
 
@@ -272,9 +277,10 @@ class MlpModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlpModel":
-        """The model of a parsed model document; a document of another type, without a key
-        or with a norm that is not numbers is a ValueError, one whose weights do not fit its
-        sizes a ModelShapeMismatch."""
+        """The model of a parsed model document; a document of another type, without a key,
+        with sizes that are not positive integers, a slope or norm that is not numbers or
+        params that are not [weights, bias] pairs of numbers is a ValueError, one whose
+        weights do not fit its sizes a ModelShapeMismatch."""
         if not isinstance(d, dict) or d.get("format", MODEL_FORMAT) != MODEL_FORMAT:
             raise ValueError(f"not a {MODEL_FORMAT} document: {str(d)[:60]}")
         missing = [k for k in ("depth_sizes", "inertial_sizes", "head_sizes", "slope", "norm",
@@ -284,10 +290,15 @@ class MlpModel:
         norm = d["norm"]
         if not (isinstance(norm, dict) and {"d_look", "v_max", "max_range"} <= norm.keys()
                 <= {"d_look", "v_max", "max_range", "tau_scale"}
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        for v in norm.values())):
+                and all(map(_is_number, norm.values()))):
             raise ValueError(f"model norm {str(norm)[:60]} is not d_look, v_max, max_range "
                              "and an optional tau_scale as numbers")
+        for key in ("depth_sizes", "inertial_sizes", "head_sizes"):
+            if not (isinstance(d[key], list) and d[key] and all(
+                    isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in d[key])):
+                raise ValueError(f"model {key} {str(d[key])[:60]} is not positive integers")
+        if not _is_number(d["slope"]):
+            raise ValueError(f"model slope {str(d['slope'])[:60]} is not a number")
         model = cls(
             depth_sizes=d["depth_sizes"],
             inertial_sizes=d["inertial_sizes"],
@@ -295,14 +306,20 @@ class MlpModel:
             slope=d["slope"],
             norm=NormConstants(**norm),
         )
+        params = d["params"]
+        if not (isinstance(params, dict) and model.layers.keys() <= params.keys()):
+            raise ValueError("model params need the branches depth, inertial and head")
         for name, built in model.layers.items():
-            stored = d["params"][name]
+            try:
+                stored = [(np.array(w, dtype=float), np.array(b, dtype=float))
+                          for w, b in params[name]]
+            except (TypeError, ValueError):
+                raise ValueError(f"model params {name} are not [weights, bias] pairs of "
+                                 "numbers") from None
             if len(stored) != len(built):
                 raise ModelShapeMismatch(f"layer count mismatch in branch {name}")
-            model.layers[name] = [
-                (np.array(w, dtype=float), np.array(b, dtype=float)) for w, b in stored
-            ]
-            for (w, b), (ew, eb) in zip(model.layers[name], built):
+            model.layers[name] = stored
+            for (w, b), (ew, eb) in zip(stored, built):
                 if w.shape != ew.shape or b.shape != eb.shape:
                     raise ModelShapeMismatch(f"bad weight shape in branch {name}")
         return model
@@ -396,15 +413,19 @@ def save_dataset(records: list[dict], path) -> None:
 
 
 def load_dataset(path) -> list[dict]:
-    """The records of a dataset file; a record without obs or target is a ValueError."""
+    """The records of a dataset file; a record without obs or target as lists of numbers is
+    a ValueError that names its line."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 record = json.loads(line)
-                if not (isinstance(record, dict) and {"obs", "target"} <= record.keys()):
-                    raise ValueError(f"{path} line {number}: a record needs obs and target")
+                if not (isinstance(record, dict) and {"obs", "target"} <= record.keys()
+                        and all(isinstance(record[k], list) and all(map(_is_number, record[k]))
+                                for k in ("obs", "target"))):
+                    raise ValueError(f"{path} line {number}: a record needs obs and target "
+                                     "as lists of numbers")
                 records.append(record)
     return records
 

@@ -21,15 +21,15 @@ Each evaluation does each piece of work once, at three lifetimes:
     same way;
   * per plan, in ObjectiveSetup: the boundary rows of the coefficient
     system's right-hand side and the duration map's clip bounds, and per
-    piece count M one minco.Workspace: the band storages that the LU
-    factors overwrite, the dA/dtbar rows and a right-hand side whose
-    boundary rows are written once;
+    piece count M one minco.Workspace, minco's storage for every solve: the
+    band storages that the LU factors overwrite, the dA/dtbar rows and the
+    right-hand side, whose boundary rows it writes once;
   * per evaluation: the durations, one BandedSystem (A's entries raised to
     their powers once, for A and A^T, and factored in the workspace), one
-    solve, which writes only the knot rows of the right-hand side, and one
-    Samples: the (4, M, kappa+1, N+1) sample basis of all orders and pieces
-    and its one product with the (M, N+1, D) coefficients, which the
-    obstacle and the feasibility terms both read.
+    solve_coeffs, which writes only the knot rows of the workspace's
+    right-hand side, and one Samples: the (4, M, kappa+1, N+1) sample
+    basis of all orders and pieces and its one product with the (M, N+1, D)
+    coefficients, which the obstacle and the feasibility terms both read.
 
 total_objective calls each stage once, through its module-level name
 (BandedSystem, minco.solve_coeffs, control_effort, sample_trajectory,
@@ -354,8 +354,7 @@ def total_objective(q: np.ndarray, tau: np.ndarray, setup: ObjectiveSetup):
     w, pen, s_order = setup.weights, setup.penalty, setup.s_order
     tbar, dtbar_dtau = _duration_map(tau, setup.bounds)
     system = BandedSystem(tbar, s_order, work)
-    traj = minco.solve_coeffs(setup.init, setup.target, TrajParams(q, tbar), s_order, system,
-                              work.rhs)
+    traj = minco.solve_coeffs(setup.init, setup.target, TrajParams(q, tbar), s_order, system)
 
     cost = 0.0
     dk_dc = np.zeros(traj.coefficients.shape)

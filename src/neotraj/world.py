@@ -77,8 +77,9 @@ class SceneSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
         """The scene of a parsed scene document (`format` may be left out); a document of
-        another type, without a key, with a value that is not numbers where numbers go, or
-        with its start or goal out of bounds is a ValueError."""
+        another type, without a key, with a value that is not numbers where numbers go, a
+        seed that is not an integer, a name that is not a string, or with its start or goal
+        out of bounds is a ValueError."""
         if not isinstance(d, dict) or d.get("format", SCENE_FORMAT) != SCENE_FORMAT:
             raise ValueError(f"not a {SCENE_FORMAT} document: {str(d)[:60]}")
         missing = [k for k in ("bounds", "obstacles", "start", "goal") if k not in d]
@@ -91,13 +92,18 @@ class SceneSpec:
                 isinstance(o, dict) and {"cx", "cy", "width"} <= o.keys()
                 and _numbers([o["cx"], o["cy"], o["width"]], 3) for o in d["obstacles"]):
             raise ValueError("every scene obstacle needs cx, cy and width as numbers")
+        seed, name = d.get("seed", 0), d.get("name", "")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"scene seed {str(seed)[:60]} is not an integer")
+        if not isinstance(name, str):
+            raise ValueError(f"scene name {str(name)[:60]} is not a string")
         spec = cls(
             bounds=tuple(d["bounds"]),
             obstacles=[(o["cx"], o["cy"], o["width"]) for o in d["obstacles"]],
             start=tuple(d["start"]),
             goal=tuple(d["goal"]),
-            seed=int(d.get("seed", 0)),
-            name=d.get("name", ""),
+            seed=seed,
+            name=name,
         )
         xmin, ymin, xmax, ymax = spec.bounds
         for key, (x, y) in (("start", spec.start), ("goal", spec.goal)):

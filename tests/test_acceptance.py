@@ -132,8 +132,7 @@ def test_criterion_2_minco_exactness(rng):
         delta *= 1e-3 / np.linalg.norm(delta)
         from neotraj.minco import Trajectory
 
-        pert = Trajectory([flat[6 * i: 6 * (i + 1)] + delta[6 * i: 6 * (i + 1)]
-                           for i in range(3)], params.durations)
+        pert = Trajectory((flat + delta).reshape(3, 6, 2), params.durations)
         min_gain = min(min_gain, effort_by_quadrature(pert) - base)
     assert min_gain >= -1e-9
 

@@ -529,7 +529,9 @@ def test_terms_equal_reference_in_every_branch(rng):
     seed=st.integers(0, 2**16))
 def test_banded_system_equals_reference_bitwise(durations, seed):
     rhs = np.random.default_rng(seed).normal(size=(6 * len(durations), 2))
-    got, ref = minco.BandedSystem(durations, RC.s_order), ReferenceBandedSystem(durations, RC.s_order)
+    work = minco.Workspace(len(durations), RC.s_order, rhs[:2 * RC.s_order])
+    got = minco.BandedSystem(np.array(durations), RC.s_order, work)
+    ref = ReferenceBandedSystem(durations, RC.s_order)
     for transpose in (False, True):
         assert same_bits(got.solve(rhs, transpose), ref.solve(rhs, transpose))
 

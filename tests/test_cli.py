@@ -369,6 +369,14 @@ BAD_INPUTS = {
     "lettered.json": {"bounds": [0, 0, 10, 10], "obstacles": [], "start": ["a", 0],
                       "goal": [5, 5]},
     "normless.json": {**json.loads(NEO_MODEL.read_text()), "norm": {}},
+    "branchless.json": {**json.loads(NEO_MODEL.read_text()), "params": {}},
+    "listparams.json": {**json.loads(NEO_MODEL.read_text()), "params": [1]},
+    "lettersizes.json": {**json.loads(NEO_MODEL.read_text()), "depth_sizes": "abc"},
+    "listseed.json": {"bounds": [0, 0, 10, 10], "obstacles": [], "start": [1, 1],
+                      "goal": [5, 5], "seed": [1]},
+    "listname.json": {"bounds": [0, 0, 10, 10], "obstacles": [], "start": [1, 1],
+                      "goal": [5, 5], "name": ["x"]},
+    "dictobs.jsonl": {"obs": {"a": 1}, "target": [1.0]},
 }
 
 
@@ -394,6 +402,17 @@ def one_error_line(capsys) -> bool:
     (["fly", "--scene", "far.json"], 1),  # the goal lies outside the bounds
     (["fly", "--scene", "lettered.json"], 1),  # a start that is not numbers
     (["fly", "--scene", "4", "--init", "neo", "--model", "normless.json"], 1),  # an empty norm
+    (["fly", "--scene", "1", "--init", "neo", "--model", "branchless.json"], 1),
+    (["fly", "--scene", "1", "--init", "neo", "--model", "listparams.json"], 1),
+    (["fly", "--scene", "1", "--init", "neo", "--model", "lettersizes.json"], 1),
+    (["fly", "--scene", "listseed.json"], 1),
+    (["fly", "--scene", "listname.json"], 1),
+    (["train", "--data", "dictobs.jsonl", "--out", "m.json"], 1),  # obs that is not a list
+    # a list option that names one value twice; neo and neural are one initializer
+    (["bench", "--scenes", "1", "--runs", 1, "--inits", "baseline,baseline", "--out-dir", "b"], 1),
+    (["bench", "--scenes", "1", "--runs", 1, "--inits", "neo,neural", "--model", NEO_MODEL,
+      "--out-dir", "b"], 1),
+    (["latency", "--scenes", "1", "--foresee", "0,0", "--out", "lat.csv"], 1),
 ])
 def test_errors_reach_main_as_one_line(tmp_path, monkeypatch, capsys, args, code):
     monkeypatch.chdir(tmp_path)
@@ -414,9 +433,11 @@ def test_bench_rejects_unknown_init_before_flying(tmp_path, monkeypatch, capsys)
         return real_run_episode(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_episode", counting)
-    assert run(["bench", "--scenes", "4", "--runs", 1, "--inits", "baseline,foo",
-                "--out-dir", tmp_path / "b"]) == 1
-    assert one_error_line(capsys)
+    # an unknown name, and a name twice (neo and neural are one initializer)
+    for inits in ("baseline,foo", "baseline,baseline", "neo,neural"):
+        assert run(["bench", "--scenes", "4", "--runs", 1, "--inits", inits, "--model", NEO_MODEL,
+                    "--out-dir", tmp_path / "b"]) == 1
+        assert one_error_line(capsys)
     assert flown == []
 
 

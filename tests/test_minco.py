@@ -20,17 +20,20 @@ from neotraj.minco import (
     BoundaryState,
     TrajParams,
     Trajectory,
+    Workspace,
     _band_storage,
     _template,
     basis,
+    boundary_rows,
     propagate_gradients,
     solve_coeffs,
 )
 
 
-def system_of(durations):
+def system_of(init, target, durations):
     """The factorizations of A(durations) that propagate_gradients solves with."""
-    return BandedSystem(durations, RC.s_order)
+    work = Workspace(durations.size, RC.s_order, boundary_rows(init, target, RC.s_order))
+    return BandedSystem(durations, RC.s_order, work)
 
 
 def poly_eval(coeffs_1d, t, order=0):
@@ -172,8 +175,7 @@ def test_optimality_against_nullspace_perturbations(rng):
         delta = null @ coeff
         delta *= 1e-3 / np.linalg.norm(delta)
         perturbed = flat + delta
-        pieces = [perturbed[6 * i : 6 * (i + 1)] for i in range(3)]
-        pert_traj = Trajectory(pieces, params.durations)
+        pert_traj = Trajectory(perturbed.reshape(3, 6, 2), params.durations)
         assert effort_by_quadrature(pert_traj) >= base - 1e-9
 
 
@@ -191,18 +193,19 @@ def test_time_scaling_consistency():
 def test_propagate_zero_cost_gradient_is_identity_on_time(rng):
     traj, init, target, params = make_trajectory(rng)
     v = rng.normal(size=3)
-    zero = [np.zeros((6, 2)) for _ in range(3)]
-    dq, dt = propagate_gradients(traj, zero, v, system_of(params.durations))
+    zero = np.zeros((3, 6, 2))
+    dq, dt = propagate_gradients(traj, zero, v, system_of(init, target, params.durations))
     assert np.allclose(dq, 0.0)
     assert np.allclose(dt, v)
 
 
 def test_propagate_shape_checks(rng):
     traj, init, target, params = make_trajectory(rng)
+    system = system_of(init, target, params.durations)
     with pytest.raises(ShapeMismatch):
-        propagate_gradients(traj, [np.zeros((5, 2))] * 3, np.zeros(3), system_of(params.durations))
+        propagate_gradients(traj, np.zeros((3, 5, 2)), np.zeros(3), system)
     with pytest.raises(ShapeMismatch):
-        propagate_gradients(traj, [np.zeros((6, 2))] * 3, np.zeros(4), system_of(params.durations))
+        propagate_gradients(traj, np.zeros((3, 6, 2)), np.zeros(4), system)
 
 
 def _fd_check_h(make_cost, init, target, q0, tb0, h=1e-6):
@@ -214,7 +217,7 @@ def _fd_check_h(make_cost, init, target, q0, tb0, h=1e-6):
 
     traj = solve_coeffs(init, target, TrajParams(q0, tb0), RC.s_order)
     _, dk_dc, dk_dt = make_cost(traj, tb0)
-    dq, dt = propagate_gradients(traj, dk_dc, dk_dt, system_of(tb0))
+    dq, dt = propagate_gradients(traj, dk_dc, dk_dt, system_of(init, target, tb0))
     worst = 0.0
     for idx in np.ndindex(q0.shape):
         qp, qm = q0.copy(), q0.copy()
@@ -237,7 +240,7 @@ def test_propagate_matches_finite_differences(rng):
         w = np.arange(1, traj.n_pieces + 1, dtype=float)
         cost = sum(float((traj.coefficients[i] ** 2).sum()) * w[i] for i in range(traj.n_pieces))
         cost += float((tb**3).sum())
-        dk_dc = [2.0 * traj.coefficients[i] * w[i] for i in range(traj.n_pieces)]
+        dk_dc = np.array([2.0 * traj.coefficients[i] * w[i] for i in range(traj.n_pieces)])
         return cost, dk_dc, 3.0 * tb**2
 
     worst = 0.0
@@ -258,7 +261,7 @@ def test_waypoint_gradient_of_knot_position_cost(rng):
 
     def knot_cost(traj, tbv):
         q1 = float(traj.eval(traj.start_times[1])[0])
-        dk_dc = [np.zeros((6, 1)) for _ in range(2)]
+        dk_dc = np.zeros((2, 6, 1))
         # p_1(tbar_1) = beta(tbar_1) . c_1
         from neotraj.minco import basis
 
@@ -268,7 +271,7 @@ def test_waypoint_gradient_of_knot_position_cost(rng):
 
     traj = solve_coeffs(init, target, TrajParams(q, tb), RC.s_order)
     _, dk_dc, dk_dt = knot_cost(traj, tb)
-    dq, _ = propagate_gradients(traj, dk_dc, dk_dt, system_of(tb))
+    dq, _ = propagate_gradients(traj, dk_dc, dk_dt, system_of(init, target, tb))
     assert dq[0, 0] == pytest.approx(2.0 * q[0, 0], rel=1e-9)
     assert _fd_check_h(knot_cost, init, target, q, tb) < 1e-5
 
@@ -355,10 +358,9 @@ def test_template_matches_reference_assembly(rng, m):
             dvec = basis(tb[piece], order + 1, 6) @ traj.coefficients[piece]
             dt_ref[piece] -= g[row] @ dvec
         dq_ref = np.array([g[3 + 6 * i + 4] + g[3 + 6 * i + 5] for i in range(m - 1)]).T
-        for grads in (dk_dc, list(dk_dc)):  # stacked array or per-piece list
-            dq, dt = propagate_gradients(traj, grads, dk_dt, system_of(params.durations))
-            assert np.array_equal(dt, dt_ref)
-            assert dq.shape == (2, m - 1) and np.array_equal(dq, dq_ref.reshape(2, m - 1))
+        dq, dt = propagate_gradients(traj, dk_dc, dk_dt, system_of(init, target, tb))
+        assert np.array_equal(dt, dt_ref)
+        assert dq.shape == (2, m - 1) and np.array_equal(dq, dq_ref.reshape(2, m - 1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -369,9 +371,10 @@ def test_nonfinite_waypoints_raise_singular(bad):
 
 
 def test_degenerate_durations_raise_singular():
+    z = BoundaryState([0.0, 0.0], [0.0, 0.0])
     # zero pivot: a zero-length piece makes its boundary rows coincide
     with pytest.raises(SingularSystem):
-        BandedSystem(np.array([1.0, 0.0]), 3)
+        system_of(z, z, np.array([1.0, 0.0]))
     # non-finite durations make the matrix, and so the solution, non-finite
     with pytest.raises(SingularSystem):
-        BandedSystem(np.array([np.nan, 1.0]), 3).solve(np.ones((12, 2)))
+        system_of(z, z, np.array([np.nan, 1.0])).solve(np.ones((12, 2)))

@@ -28,7 +28,7 @@ from neotraj.world import GridWorld, SceneSpec
 
 
 def test_control_effort_zero_trajectory():
-    traj = Trajectory([np.zeros((6, 2))], [1.0])
+    traj = Trajectory(np.zeros((1, 6, 2)), np.array([1.0]))
     cost, dc, dt = control_effort(traj, RC.s_order)
     assert cost == 0.0
     assert np.allclose(dc[0], 0.0) and np.allclose(dt, 0.0)
@@ -85,7 +85,7 @@ def test_obstacle_cost_against_dense_quadrature():
     coef = np.zeros((6, 2))
     coef[0, 0] = 3.0
     coef[1, 0] = 1.0
-    traj = Trajectory([coef], [4.0])
+    traj = Trajectory(coef[None], np.array([4.0]))
     coarse, _, _ = obstacle_cost(traj, world, PenaltyConfig(kappa=16), sample_trajectory(traj, 16))
     dense, _, _ = obstacle_cost(traj, world, PenaltyConfig(kappa=4096),
                                 sample_trajectory(traj, 4096))
@@ -108,7 +108,7 @@ def test_feasibility_constant_speed_closed_form():
     coef[1, 0] = 1.2
     cfg = PenaltyConfig()
     for tb in (0.7, 1.3, 3.0):
-        traj = Trajectory([coef], [tb])
+        traj = Trajectory(coef[None], np.array([tb]))
         cost, _, _ = feasibility_cost(traj, cfg, sample_trajectory(traj, cfg.kappa))
         assert cost == pytest.approx(tb * (1.2**2 - 1.0**2) ** 3, rel=1e-12)
 
@@ -213,7 +213,7 @@ def test_piecewise_accumulation(scene4_world, rng):
         total = term(traj)[0]
         parts = 0.0
         for i in range(traj.n_pieces):
-            single = Trajectory([traj.coefficients[i]], [traj.durations[i]])
+            single = Trajectory(traj.coefficients[i:i + 1], traj.durations[i:i + 1])
             parts += term(single)[0]
         assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
 

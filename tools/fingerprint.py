@@ -33,7 +33,10 @@ below drone_radius, clear) flipped:
 `--calls` counts interpreter work instead of timing it, so two commits compare
 on any host: it prints the `sys.setprofile` `call` and `c_call` events of
 plan-set's baseline decisions on problems 0-35 (solver and initializer
-included) per objective evaluation.  The count repeats exactly.
+included) per objective evaluation, then the 15 functions with the most events
+per evaluation: a Python function as `<file>:<name>` (the file relative to the
+checkout or to site-packages), a C function by its qualname.  The counts
+repeat exactly.
 
 perfbench is imported read-only: its set-up pins one BLAS thread for this
 process and every command it starts.  Takes 2-2.5 minutes on 2 cores; a dump
@@ -49,6 +52,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,21 +128,29 @@ def decisions() -> tuple[list[tuple[str, str]], list[dict]]:
     return digests, records
 
 
-def calls() -> tuple[int, int]:
-    """(profile events, objective evaluations) of plan-set's baseline decisions on problems
-    0-35: every `call` and `c_call` event while a decision runs."""
+def _where(path: str) -> str:
+    """A Python source file as --calls prints it: relative to the checkout or site-packages."""
+    if path.startswith(str(ROOT) + os.sep):
+        return os.path.relpath(path, ROOT)
+    return path.rpartition("site-packages" + os.sep)[2]
+
+
+def calls() -> tuple[Counter, int]:
+    """(profile events per function, objective evaluations) of plan-set's baseline decisions
+    on problems 0-35: every `call` and `c_call` event while a decision runs, keyed by a Python
+    function's (file, name) or a C function's qualname."""
     ws = workloads.PlanSet()
     ws.setup()
     from neotraj import objective
 
     code = objective.total_objective.__code__
-    counts = [0, 0]
+    codes, per_function = Counter(), Counter()
 
     def profile(frame, event, arg):
-        if event == "call" or event == "c_call":
-            counts[0] += 1
-            if event == "call" and frame.f_code is code:
-                counts[1] += 1
+        if event == "call":
+            codes[frame.f_code] += 1
+        elif event == "c_call":
+            per_function[getattr(arg, "__qualname__", repr(arg))] += 1
 
     for prob in ws.problems[:36]:
         sys.setprofile(profile)
@@ -146,7 +158,9 @@ def calls() -> tuple[int, int]:
             ws.decide("baseline", prob)
         finally:
             sys.setprofile(None)
-    return counts[0], counts[1]
+    for c, n in codes.items():
+        per_function[f"{_where(c.co_filename)}:{c.co_name}"] += n
+    return per_function, codes[code]
 
 
 def _read_dump(path) -> dict:
@@ -223,8 +237,11 @@ def main(argv=None) -> int:
         compare(*args.compare)
         return 0
     if args.calls:
-        events, evals = calls()
+        per_function, evals = calls()
+        events = sum(per_function.values())
         print(f"calls per evaluation {events / evals:.1f} ({events} events, {evals} evaluations)")
+        for name, n in per_function.most_common(15):
+            print(f"{n / evals:8.2f}  {name}")
         return 0
     digests, records = decisions()
     for label, digest in digests:
