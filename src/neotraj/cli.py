@@ -5,7 +5,7 @@ Every command is deterministic under a fixed --seed: per-episode seeds are
 derived from the master seed and the episode's position in the task grid
 (never from worker scheduling), file outputs carry format fields or header
 rows, and measured wall times never reach any output file.  Exit codes:
-0 success, 1 usage/config error, 2 runtime failure.
+0 success, 1 usage/config error or unreadable input, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -352,8 +351,8 @@ def cmd_latency(args) -> int:
     rc = _load_config(args)
     foresee_values = _once_each([float(s) for s in args.foresee.split(",")], "--foresee",
                                 args.foresee)
-    arms = [(args.init, replace(rc, replan=replace(rc.replan, latency=args.latency, foresee=v)))
-            for v in foresee_values]
+    arms = [(args.init, RunConfig.from_dict({**rc.to_dict(), "latency": args.latency,
+                                             "foresee": v})) for v in foresee_values]
     scenes = [_scene_token(t) for t in args.scenes]
     all_rows = []
     for token in scenes:
@@ -525,7 +524,7 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NeotrajError as exc:

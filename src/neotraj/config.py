@@ -8,16 +8,17 @@ check live once, in the dataclass that owns it.
 
 On disk a config is one flat JSON object: every leaf field is a key of
 its own (the section field names are unique), except the cost weights,
-which are the list `weights`.  Unknown keys and values of the wrong type
-are rejected so typos fail loudly.
+which are the list `weights`.  Unknown keys, values of the wrong type and
+numbers that are not finite are rejected so typos fail loudly; every value
+from outside, from a file or a flag, reaches a `RunConfig` through `from_dict`.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, astuple, dataclass, field, fields
 
+from .errors import is_integer, is_number, numbers
 from .neural import NormConstants
 from .objective import CostWeights, PenaltyConfig, TimeTransform
 from .solver import SolverConfig
@@ -89,7 +90,7 @@ class RunConfig:
         unknown = set(d) - set(_LEAVES) - {"weights", "dims"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "dims" in d and not (_type_ok(d["dims"], DIMS) and d["dims"] == DIMS):
+        if "dims" in d and not (is_integer(d["dims"]) and d["dims"] == DIMS):
             raise ValueError(f"dims must be {DIMS}: the planner is planar")
         top: dict = {}
         parts: dict = {section: {} for section in _SECTIONS}
@@ -102,11 +103,9 @@ class RunConfig:
                     raise ValueError(f"config key {key!r} must be {kind}, got {d[key]!r}")
                 (parts[section] if section else top)[key] = d[key]
         if "weights" in d:
-            w = d["weights"]
-            numbers = isinstance(w, (list, tuple)) and all(_type_ok(v, 0.0) for v in w)
-            if not numbers or len(w) != 4:
+            if not numbers(d["weights"], 4):
                 raise ValueError("weights must be four nonnegative numbers")
-            top["weights"] = CostWeights(*w)
+            top["weights"] = CostWeights(*d["weights"])
         sections = {name: make(**parts[name]) for name, make in _SECTIONS.items()}
         return cls(**top, **sections)
 
@@ -143,9 +142,7 @@ _LEAVES.update(
 
 
 def _type_ok(value, default) -> bool:
-    """bool takes only bool, int only int (not bool), float any finite int or float."""
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, int):
-        return isinstance(value, int)
-    return isinstance(value, (int, float)) and math.isfinite(value)
+    """bool takes only bool, int only an integer, float any finite number."""
+    if type(default) is bool:
+        return type(value) is bool
+    return is_integer(value) if type(default) is int else is_number(value)

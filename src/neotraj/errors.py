@@ -1,4 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one definition of a number read from
+outside for every loader: no bool, and no NaN or infinity, which Python's `json` reads."""
+
+import sys
+
+
+def is_integer(v) -> bool:
+    """Whether v is an integer: an int, not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_number(v) -> bool:
+    """Whether v is a number a float holds: an int or float, not a bool, NaN or infinity."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def numbers(values, n: int | None = None) -> bool:
+    """Whether values is a list (or tuple) of finite numbers, n of them if n is given."""
+    return (isinstance(values, (list, tuple)) and (n is None or len(values) == n)
+            and all(map(is_number, values)))
 
 
 class NeotrajError(Exception):

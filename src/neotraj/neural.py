@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import EmptyDataset, ModelShapeMismatch, ShapeMismatch
+from .errors import EmptyDataset, ModelShapeMismatch, ShapeMismatch, is_integer, is_number, numbers
 from .minco import BoundaryState, TrajParams
 from .objective import TimeTransform, tau_to_time, time_to_tau
 
@@ -138,11 +138,6 @@ def plan_width(m_pieces: int) -> int:
     """Outputs of a network that plans m_pieces planar pieces: the 2(M-1)
     waypoint coordinates, then one tau per piece (decode_output's layout)."""
     return 2 * (m_pieces - 1) + m_pieces
-
-
-def _is_number(v) -> bool:
-    """Whether v is a JSON number: an int or a float, not a bool."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
@@ -290,14 +285,14 @@ class MlpModel:
         norm = d["norm"]
         if not (isinstance(norm, dict) and {"d_look", "v_max", "max_range"} <= norm.keys()
                 <= {"d_look", "v_max", "max_range", "tau_scale"}
-                and all(map(_is_number, norm.values()))):
+                and numbers(list(norm.values()))):
             raise ValueError(f"model norm {str(norm)[:60]} is not d_look, v_max, max_range "
                              "and an optional tau_scale as numbers")
         for key in ("depth_sizes", "inertial_sizes", "head_sizes"):
-            if not (isinstance(d[key], list) and d[key] and all(
-                    isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in d[key])):
+            if not (isinstance(d[key], list) and d[key]
+                    and all(is_integer(v) and v > 0 for v in d[key])):
                 raise ValueError(f"model {key} {str(d[key])[:60]} is not positive integers")
-        if not _is_number(d["slope"]):
+        if not is_number(d["slope"]):
             raise ValueError(f"model slope {str(d['slope'])[:60]} is not a number")
         model = cls(
             depth_sizes=d["depth_sizes"],
@@ -313,9 +308,11 @@ class MlpModel:
             try:
                 stored = [(np.array(w, dtype=float), np.array(b, dtype=float))
                           for w, b in params[name]]
+                if not all(np.isfinite(a).all() for pair in stored for a in pair):
+                    raise ValueError
             except (TypeError, ValueError):
                 raise ValueError(f"model params {name} are not [weights, bias] pairs of "
-                                 "numbers") from None
+                                 "finite numbers") from None
             if len(stored) != len(built):
                 raise ModelShapeMismatch(f"layer count mismatch in branch {name}")
             model.layers[name] = stored
@@ -357,7 +354,7 @@ def train(records: list[dict], model: MlpModel, learning_rate: float, epochs: in
     Returns (model, curve) where curve rows are
     {"epoch", "train_mse", "val_mse"}.
     """
-    if learning_rate <= 0 or epochs < 1:
+    if not (is_number(learning_rate) and learning_rate > 0) or epochs < 1:
         raise ValueError("the learning rate and the epoch count must be positive")
     if not records:
         raise EmptyDataset("no training records")
@@ -422,8 +419,7 @@ def load_dataset(path) -> list[dict]:
             if line:
                 record = json.loads(line)
                 if not (isinstance(record, dict) and {"obs", "target"} <= record.keys()
-                        and all(isinstance(record[k], list) and all(map(_is_number, record[k]))
-                                for k in ("obs", "target"))):
+                        and numbers(record["obs"]) and numbers(record["target"])):
                     raise ValueError(f"{path} line {number}: a record needs obs and target "
                                      "as lists of numbers")
                 records.append(record)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
-from .errors import PackingFailure
+from .errors import PackingFailure, is_integer, numbers
 
 SCENE_FORMAT = "neotraj-scene-1"
 DIST_CAP = 1e3
@@ -44,12 +44,6 @@ MAX_ATTEMPTS = 20000  # obstacle draws before generate_scene gives up
 DEFAULT_BOUNDS = (-2.0, -6.0, 32.0, 6.0)
 DEFAULT_START = (0.0, 0.0)
 DEFAULT_GOAL = (30.0, 0.0)
-
-
-def _numbers(values, n: int) -> bool:
-    """Whether values is a list of n numbers (ints or floats, not bools), as JSON holds them."""
-    return (isinstance(values, (list, tuple)) and len(values) == n
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values))
 
 
 @dataclass
@@ -77,23 +71,24 @@ class SceneSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "SceneSpec":
         """The scene of a parsed scene document (`format` may be left out); a document of
-        another type, without a key, with a value that is not numbers where numbers go, a
-        seed that is not an integer, a name that is not a string, or with its start or goal
-        out of bounds is a ValueError."""
+        another type, without a key, with a value that is not finite numbers where numbers
+        go, an obstacle width that is not positive, a seed that is not an integer, a name that
+        is not a string, or with its start or goal out of bounds is a ValueError."""
         if not isinstance(d, dict) or d.get("format", SCENE_FORMAT) != SCENE_FORMAT:
             raise ValueError(f"not a {SCENE_FORMAT} document: {str(d)[:60]}")
         missing = [k for k in ("bounds", "obstacles", "start", "goal") if k not in d]
         if missing:
             raise ValueError(f"scene lacks {', '.join(missing)}")
         for key, n in (("bounds", 4), ("start", 2), ("goal", 2)):
-            if not _numbers(d[key], n):
+            if not numbers(d[key], n):
                 raise ValueError(f"scene {key} {str(d[key])[:60]} is not {n} numbers")
         if not isinstance(d["obstacles"], list) or not all(
                 isinstance(o, dict) and {"cx", "cy", "width"} <= o.keys()
-                and _numbers([o["cx"], o["cy"], o["width"]], 3) for o in d["obstacles"]):
-            raise ValueError("every scene obstacle needs cx, cy and width as numbers")
+                and numbers([o["cx"], o["cy"], o["width"]]) and o["width"] > 0
+                for o in d["obstacles"]):
+            raise ValueError("every scene obstacle needs cx, cy and a positive width as numbers")
         seed, name = d.get("seed", 0), d.get("name", "")
-        if not isinstance(seed, int) or isinstance(seed, bool):
+        if not is_integer(seed):
             raise ValueError(f"scene seed {str(seed)[:60]} is not an integer")
         if not isinstance(name, str):
             raise ValueError(f"scene name {str(name)[:60]} is not a string")

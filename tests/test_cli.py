@@ -359,6 +359,8 @@ def test_collect_flies_a_fixed_scene_once(tmp_path, monkeypatch):
 
 
 NEO_MODEL = Path(__file__).resolve().parent.parent / "perfbench" / "data" / "neo_model.json"
+INF_BIAS_MODEL = json.loads(NEO_MODEL.read_text())
+INF_BIAS_MODEL["params"]["head"][-1][1][0] = float("inf")  # one output bias of the head
 # malformed input files, written for test_errors_reach_main_as_one_line
 BAD_INPUTS = {
     "boundless.json": {"format": "neotraj-scene-1"},
@@ -377,6 +379,15 @@ BAD_INPUTS = {
     "listname.json": {"bounds": [0, 0, 10, 10], "obstacles": [], "start": [1, 1],
                       "goal": [5, 5], "name": ["x"]},
     "dictobs.jsonl": {"obs": {"a": 1}, "target": [1.0]},
+    # json writes float("nan") as NaN and float("inf") as Infinity, and reads both back
+    "nanscene.json": {"bounds": [0, 0, 10, 10], "obstacles": [{"cx": float("nan"), "cy": 2,
+                      "width": 1}], "start": [1, 1], "goal": [9, 9]},
+    "widthless.json": {"bounds": [0, 0, 10, 10], "start": [1, 1], "goal": [9, 9], "obstacles": [
+        {"cx": 4, "cy": 4, "width": -1}, {"cx": 6, "cy": 6, "width": 0}]},
+    "infbias.json": INF_BIAS_MODEL,
+    "nannorm.json": {**json.loads(NEO_MODEL.read_text()),
+                     "norm": {"d_look": 6.0, "v_max": float("nan"), "max_range": 5.0}},
+    "nanobs.jsonl": {"obs": [0.0] * 75 + [float("nan")], "target": [0.0] * 7},
 }
 
 
@@ -413,14 +424,32 @@ def one_error_line(capsys) -> bool:
     (["bench", "--scenes", "1", "--runs", 1, "--inits", "neo,neural", "--model", NEO_MODEL,
       "--out-dir", "b"], 1),
     (["latency", "--scenes", "1", "--foresee", "0,0", "--out", "lat.csv"], 1),
+    # numbers that are not finite, and obstacle widths that are not positive
+    (["fly", "--scene", "nanscene.json"], 1),
+    (["fly", "--scene", "widthless.json"], 1),
+    (["fly", "--scene", "1", "--init", "neo", "--model", "infbias.json"], 1),
+    (["fly", "--scene", "1", "--init", "neo", "--model", "nannorm.json"], 1),
+    (["train", "--data", "nanobs.jsonl", "--out", "m.json"], 1),
+    (["latency", "--scenes", "1", "--runs", 1, "--foresee", "nan", "--out", "lat.csv"], 1),
+    (["latency", "--scenes", "1", "--runs", 1, "--latency", "inf", "--out", "lat.csv"], 1),
+    (["train", "--data", "one.jsonl", "--lr", "nan", "--out", "m.json"], 1),
+    (["train", "--data", "one.jsonl", "--lr", "inf", "--out", "m.json"], 1),
+    # a directory where an input file goes
+    (["fly", "--scene", "."], 1),
+    (["fly", "--scene", "1", "--config", "."], 1),
+    (["train", "--data", ".", "--out", "m.json"], 1),
+    (["fly", "--scene", "1", "--init", "neo", "--model", "."], 1),
 ])
 def test_errors_reach_main_as_one_line(tmp_path, monkeypatch, capsys, args, code):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "empty.jsonl").write_text("")
+    (tmp_path / "one.jsonl").write_text(json.dumps({"obs": [0.0] * 76, "target": [0.0] * 7}))
     for name, doc in BAD_INPUTS.items():
         (tmp_path / name).write_text(json.dumps(doc) + "\n")
+    inputs = sorted(tmp_path.iterdir())
     assert run(args) == code
     assert one_error_line(capsys)
+    assert sorted(tmp_path.iterdir()) == inputs  # nothing written
 
 
 def test_bench_rejects_unknown_init_before_flying(tmp_path, monkeypatch, capsys):

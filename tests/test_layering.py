@@ -11,6 +11,10 @@ module asks the strategy for its guesses instead of testing its kind.
 
 The episode loop leaves each replanning decision to `replan.decide`: it
 asks for no guesses and plans and picks nothing itself.
+
+Only `errors.py` decides what counts as a number or an integer in input:
+every other module calls its predicates instead of testing for bools, so no
+second definition grows back.
 """
 
 import ast
@@ -87,4 +91,17 @@ def test_run_episode_leaves_the_decision_to_decide():
         name = getattr(node.func, "id", getattr(node.func, "attr", ""))  # f(...) or x.f(...)
         if name in ("plan", "cheapest", "guesses"):
             found.append(f"replan.py:{node.lineno} calls {name}")
+    assert not found, found
+
+
+def test_only_errors_tells_a_bool_from_a_number():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "isinstance":
+                kinds = node.args[1:] + getattr(node.args[-1], "elts", [])
+                if any(getattr(k, "id", "") == "bool" for k in kinds):
+                    found.append(f"{path.name}:{node.lineno}")
     assert not found, found

@@ -212,6 +212,7 @@ def test_model_from_dict_rejects_bad_branch_shapes(damage):
     {"d_look": 5.0, "v_max": 1.0},
     {"d_look": 5.0, "v_max": "1", "max_range": 5.0},
     {"d_look": 5.0, "v_max": 1.0, "max_range": 5.0, "scale": 2.0},
+    {"d_look": 5.0, "v_max": float("nan"), "max_range": 5.0},
 ])
 def test_model_from_dict_rejects_a_norm_that_is_not_numbers(norm):
     doc = {**MlpModel(NORM, **MODEL_SIZES, seed=0).to_dict(), "norm": norm}

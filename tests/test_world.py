@@ -155,6 +155,10 @@ def test_scene_json_roundtrip(tmp_path):
     ("goal", [True, 0]),
     ("obstacles", [{"cx": 3, "cy": None, "width": 1}]),
     ("obstacles", {"cx": 3, "cy": 0, "width": 1}),
+    ("obstacles", [{"cx": float("nan"), "cy": 0, "width": 1}]),
+    ("bounds", [0, 0, float("inf"), 10]),
+    ("obstacles", [{"cx": 3, "cy": 0, "width": 0}]),
+    ("obstacles", [{"cx": 3, "cy": 0, "width": -1}]),
 ])
 def test_scene_from_dict_rejects_values_that_are_not_numbers(key, value):
     doc = {"bounds": [0, 0, 10, 10], "obstacles": [], "start": [1, 1], "goal": [5, 5],
